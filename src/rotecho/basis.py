@@ -251,10 +251,6 @@ class MBlockDensityMatrix:
             if lo < eig_floor:
                 raise ToleranceError(f"block m={m} has eigenvalue {lo:.3e}")
 
-    def copy_blocks(self) -> list[np.ndarray]:
-        """Writable copies of the blocks, for propagation kernels."""
-        return [np.array(b) for b in self.blocks]
-
 
 def boltzmann_exponents(molecule: MoleculeSpec, j_values: np.ndarray) -> np.ndarray:
     """E_J/(k_B T) for the given J values (dimensionless)."""

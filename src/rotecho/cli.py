@@ -18,6 +18,7 @@ worker count, must reproduce the data files byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -33,7 +34,6 @@ from .echo import (
     _point_config,
     find_optimal_p2,
     fit_decay,
-    fit_sin2,
     scan_dtau,
     scan_p2,
 )
@@ -237,41 +237,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     t_setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    options = {
+        "window_halfwidth": scan.window_halfwidth,
+        "isolate": scan.isolate,
+        "workers": args.threads,
+    }
     if scan.axis == "dtau":
-        curve = scan_dtau(
-            grid, settings.p1_kick, settings.p2_kick, base,
-            window_halfwidth=scan.window_halfwidth,
-            isolate=scan.isolate,
-            workers=args.threads,
-        )
-        csv_name = "scan_dtau.csv"
+        curve = scan_dtau(grid, settings.p1_kick, settings.p2_kick, base, **options)
     elif scan.averaged:
         curve = averaged_scan_p2(
-            grid, settings.p1_kick, settings.dtau, settings.beam, base,
-            window_halfwidth=scan.window_halfwidth,
-            isolate=scan.isolate,
-            workers=args.threads,
+            grid, settings.p1_kick, settings.dtau, settings.beam, base, **options
         )
-        csv_name = "scan_p2.csv"
     else:
-        curve = scan_p2(
-            grid, settings.p1_kick, settings.dtau, base,
-            window_halfwidth=scan.window_halfwidth,
-            isolate=scan.isolate,
-            workers=args.threads,
-        )
-        csv_name = "scan_p2.csv"
+        curve = scan_p2(grid, settings.p1_kick, settings.dtau, base, **options)
+    csv_name = f"scan_{scan.axis}.csv"
     t_run = time.perf_counter() - t1
 
-    # averaged curves come back bare; give them the same fit sidecar
     fit = curve.fit
-    fit_note = None
-    if fit is None and scan.axis == "p2" and len(curve) >= 6:
-        try:
-            fit = fit_sin2(curve)
-        except FitError as exc:
-            fit_note = f"sin2 fit skipped: {exc}"
-
     out = _out_dir(args)
     meta = {"config_sha256": digest, "command": _canonical_command(args)}
     t2 = time.perf_counter()
@@ -281,9 +263,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         runio.write_fit_json(out / "fit_sin2.json", fit, meta)
         outputs.append("fit_sin2.json")
 
-    notes = [f"point {val:g}: {msg}" for val, msg in curve.failures]
-    if fit_note:
-        notes.append(fit_note)
+    # a failed sin2 fit is keyed by nan; every other failure is a point
+    notes = [
+        f"point {val:g}: {msg}" if math.isfinite(val) else msg
+        for val, msg in curve.failures
+    ]
+    n_failed = sum(math.isfinite(val) for val, _ in curve.failures)
     runio.write_manifest(
         out / "manifest.json",
         command=meta["command"],
@@ -295,8 +280,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         notes=notes or None,
     )
     line = f"wrote {out / csv_name}: {len(curve)} points"
-    if curve.failures:
-        line += f", {len(curve.failures)} failed"
+    if n_failed:
+        line += f", {n_failed} failed"
     if fit is not None:
         line += f"; sin2 fit a={fit.a:.4g} b={fit.b:.4g} residual={fit.residual:.3g}"
     print(line)

@@ -265,18 +265,17 @@ def extract_secho(
 def _isolated_trace(
     config: ExperimentConfig,
     basis: RotorBasis,
-    first_pulse_cache: dict | None = None,
+    first_pulse_cache: dict,
 ) -> AlignmentTrace:
-    """Isolation workhorse; optionally caches the first-pulse-only trace
-    (it is identical across the points of a p2 scan)."""
+    """Isolation workhorse; caches the first-pulse-only trace in
+    first_pulse_cache (it is identical across the points of a p2 scan)."""
     full = run_two_pulse(config, basis=basis)
     p1 = config.pulses[0]
     key = (p1.kick, p1.shape, p1.duration_fwhm, config.t_end, config.dt_sample)
-    v1 = None if first_pulse_cache is None else first_pulse_cache.get(key)
+    v1 = first_pulse_cache.get(key)
     if v1 is None:
         v1 = run_pulse_sequence(replace(config, pulses=config.pulses[:1]), basis=basis).values
-        if first_pulse_cache is not None:
-            first_pulse_cache[key] = v1
+        first_pulse_cache[key] = v1
     v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
     # traces store alignment minus 1/3, so the cross term is a plain
     # difference and sits on the same zero baseline as any other trace
@@ -299,7 +298,7 @@ def run_isolated_echo(
         raise ValueError("isolation needs exactly two pulses")
     if basis is None:
         basis = RotorBasis(config.resolve_j_max())
-    return _isolated_trace(config, basis)
+    return _isolated_trace(config, basis, {})
 
 
 def _point_config(
@@ -339,81 +338,101 @@ def _point_config(
     return cfg
 
 
-def _measure_point(
-    cfg: ExperimentConfig,
+# The quadrature of an unaveraged point: one exact on-axis node.
+# Multiplying by 1.0 is exact, so plain scans keep their bytes.
+_PLAIN_NODES = ((1.0, 1.0),)
+
+
+def _echo_point(
+    base: ExperimentConfig,
+    p1_kick: float,
+    p2_kick: float,
     dtau: float,
+    nodes,
     halfwidth: float | None,
     isolate: bool,
     basis: RotorBasis,
-    first_pulse_cache: dict | None = None,
+    first_pulse_cache: dict,
 ) -> EchoMeasurement:
-    w_eff = echo_window_halfwidth(dtau, cfg.molecule, halfwidth)
-    if isolate:
-        trace = _isolated_trace(cfg, basis, first_pulse_cache)
-    else:
-        trace = run_two_pulse(cfg, basis=basis)
-    return extract_secho(trace, dtau, w_eff)
+    """Echo amplitude at one (p1, p2, dtau): the evaluator behind every scan.
+
+    Each (intensity fraction, weight) node runs the experiment with both
+    kicks scaled by its fraction; the weighted sum of the node traces is
+    measured once, at the nominal kicks.
+    """
+    w_eff = echo_window_halfwidth(dtau, base.molecule, halfwidth)
+    acc = None
+    # fixed node order keeps the reduction bit-stable across runs
+    for fraction, weight in nodes:
+        cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
+        if isolate:
+            trace = _isolated_trace(cfg, basis, first_pulse_cache)
+        else:
+            trace = run_two_pulse(cfg, basis=basis)
+        acc = weight * trace.values if acc is None else acc + weight * trace.values
+    nominal = _point_config(base, p1_kick, p2_kick, dtau)
+    averaged = AlignmentTrace(times=trace.times, values=acc, config=nominal)
+    return extract_secho(averaged, dtau, w_eff)
 
 
-# Per-process basis cache for worker pools; one entry per j_max.
-_WORKER_BASES: dict[int, RotorBasis] = {}
-
-
-def _pool_point(
-    args: tuple[ExperimentConfig, float, float, float | None, bool],
-) -> EchoMeasurement | tuple[float, str]:
-    cfg, dtau, axis_value, halfwidth, isolate = args
-    j_max = cfg.resolve_j_max()
-    basis = _WORKER_BASES.get(j_max)
-    if basis is None:
-        basis = _WORKER_BASES.setdefault(j_max, RotorBasis(j_max))
+def _scan_point(task: tuple, basis: RotorBasis, cache: dict) -> EchoMeasurement | tuple[float, str]:
+    """One scan task (axis value, then _echo_point's leading arguments);
+    a window or tolerance problem comes back as (axis value, message)."""
+    axis_value, *args = task
     try:
-        return _measure_point(cfg, dtau, halfwidth, isolate, basis)
+        return _echo_point(*args, basis, cache)
     except (WindowError, ToleranceError) as exc:
         return (axis_value, str(exc))
 
 
+# A pool worker's basis and first-pulse cache, set up when the scan's
+# pool starts and gone with it.  The cache key omits the molecule and the
+# solver, so the cache must never outlive one scan.
+_worker: tuple[RotorBasis, dict] | None = None
+
+
+def _init_worker(j_max: int) -> None:
+    global _worker
+    _worker = (RotorBasis(j_max), {})
+
+
+def _worker_point(task: tuple) -> EchoMeasurement | tuple[float, str]:
+    return _scan_point(task, *_worker)
+
+
 def _run_scan(
-    tasks: list[tuple[ExperimentConfig, float, float]],
+    tasks: list[tuple[float, float, float, float]],
+    base: ExperimentConfig,
+    nodes,
     halfwidth: float | None,
     isolate: bool,
     workers: int,
     basis: RotorBasis | None,
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
-    """Scan driver over (config, dtau, axis value) tasks.
+    """Scan driver over (axis value, p1, p2, dtau) tasks, serial or pooled.
 
-    Points are independent experiments; assembly is order-independent
-    and failures are keyed by the scan-axis value.
+    Points and failures come back in task order, failures keyed by the
+    scan-axis value.
     """
-    points: list[EchoMeasurement] = []
-    failures: list[tuple[float, str]] = []
     # all points share one basis size (the largest any of them needs),
     # so serial and pooled runs produce bit-identical numbers
-    if tasks:
-        j_common = (
-            basis.j_max if basis is not None
-            else max(cfg.resolve_j_max() for cfg, _, _ in tasks)
-        )
+    j_common = (
+        basis.j_max if basis is not None
+        else max(_point_config(base, p1, p2, d).resolve_j_max() for _, p1, p2, d in tasks)
+    )
+    packed = [(ax, base, p1, p2, d, nodes, halfwidth, isolate) for ax, p1, p2, d in tasks]
     if workers > 1:
-        packed = [
-            (replace(cfg, j_max=j_common), dtau, ax, halfwidth, isolate)
-            for cfg, dtau, ax in tasks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_pool_point, packed):
-                if isinstance(res, EchoMeasurement):
-                    points.append(res)
-                else:
-                    failures.append(res)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(j_common,)
+        ) as pool:
+            results = list(pool.map(_worker_point, packed))
     else:
-        if basis is None and tasks:
+        if basis is None:
             basis = RotorBasis(j_common)
         cache: dict = {}
-        for cfg, dtau, ax in tasks:
-            try:
-                points.append(_measure_point(cfg, dtau, halfwidth, isolate, basis, cache))
-            except (WindowError, ToleranceError) as exc:
-                failures.append((ax, str(exc)))
+        results = [_scan_point(task, basis, cache) for task in packed]
+    points = [r for r in results if isinstance(r, EchoMeasurement)]
+    failures = [r for r in results if not isinstance(r, EchoMeasurement)]
     return points, failures
 
 
@@ -441,12 +460,36 @@ def scan_dtau(
         raise ValueError("empty separation grid")
     if grid[0] <= 0.0 or grid[-1] >= t_rev:
         raise ValueError("separations must lie strictly inside (0, T_rev)")
-    tasks = [
-        (_point_config(base_config, p1_kick, p2_kick, d), float(d), float(d)) for d in grid
-    ]
-    points, failures = _run_scan(tasks, window_halfwidth, isolate, workers, basis)
-    points.sort(key=lambda m: m.dtau)
+    tasks = [(float(d), p1_kick, p2_kick, float(d)) for d in grid]
+    points, failures = _run_scan(
+        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, basis
+    )
     return EchoCurve("dtau", tuple(points), fit=None, failures=tuple(failures))
+
+
+def _p2_scan(
+    p2_values, p1_kick: float, dtau: float, base_config: ExperimentConfig, nodes,
+    window_halfwidth: float | None, isolate: bool, attach_fit: bool,
+    lobe_limit: float | None, workers: int, basis: RotorBasis | None,
+) -> EchoCurve:
+    """Second-pulse scan over the given quadrature nodes: the body of
+    scan_p2 (one plain node) and of focal.averaged_scan_p2."""
+    grid = np.sort(np.asarray(p2_values, dtype=float))
+    if grid.size == 0:
+        raise ValueError("empty kick grid")
+    if grid[0] < 0.0:
+        raise ValueError("kicks must be non-negative")
+    tasks = [(float(p2), p1_kick, float(p2), float(dtau)) for p2 in grid]
+    points, failures = _run_scan(
+        tasks, base_config, nodes, window_halfwidth, isolate, workers, basis
+    )
+    fit = None
+    if attach_fit and len(points) >= 6:
+        try:
+            fit = fit_sin2(EchoCurve("p2_kick", tuple(points)), lobe_limit)
+        except FitError as exc:
+            failures.append((math.nan, f"sin2 fit: {exc}"))
+    return EchoCurve("p2_kick", tuple(points), fit=fit, failures=tuple(failures))
 
 
 def scan_p2(
@@ -468,27 +511,10 @@ def scan_p2(
     a failed fit lands in curve.failures (axis value nan) instead of
     raising.
     """
-    grid = np.sort(np.asarray(p2_values, dtype=float))
-    if grid.size == 0:
-        raise ValueError("empty kick grid")
-    if grid[0] < 0.0:
-        raise ValueError("kicks must be nonnegative")
-    tasks = [
-        (_point_config(base_config, p1_kick, float(p2), dtau), float(dtau), float(p2))
-        for p2 in grid
-    ]
-    points, failures = _run_scan(tasks, window_halfwidth, isolate, workers, basis)
-    points.sort(key=lambda m: m.p2_kick)
-    curve = EchoCurve("p2_kick", tuple(points), fit=None, failures=tuple(failures))
-    if attach_fit and len(curve) >= 6:
-        try:
-            fit = fit_sin2(curve, lobe_limit)
-        except FitError as exc:
-            failures.append((math.nan, f"sin2 fit: {exc}"))
-            curve = EchoCurve("p2_kick", curve.points, fit=None, failures=tuple(failures))
-        else:
-            curve = EchoCurve("p2_kick", curve.points, fit=fit, failures=tuple(failures))
-    return curve
+    return _p2_scan(
+        p2_values, p1_kick, dtau, base_config, _PLAIN_NODES, window_halfwidth,
+        isolate, attach_fit, lobe_limit, workers, basis,
+    )
 
 
 def _first_lobe_count(s: np.ndarray) -> int:
@@ -583,24 +609,15 @@ def find_optimal_p2(
     evaluations.
     """
     sp = search_params or SearchParams()
-    molecule = base_config.molecule
-    w_eff = echo_window_halfwidth(dtau, molecule, window_halfwidth)
-
-    template = _point_config(base_config, p1_kick, sp.p2_max, dtau)
     if basis is None:
-        basis = RotorBasis(template.resolve_j_max())
+        basis = RotorBasis(_point_config(base_config, p1_kick, sp.p2_max, dtau).resolve_j_max())
     cache: dict = {}
 
     def measure(p2: float) -> float:
-        cfg = replace(template, pulses=(
-            template.pulses[0],
-            replace(template.pulses[1], kick=float(p2)),
-        ))
-        if isolate:
-            trace = _isolated_trace(cfg, basis, cache)
-        else:
-            trace = run_two_pulse(cfg, basis=basis)
-        return extract_secho(trace, dtau, w_eff).s_echo
+        return _echo_point(
+            base_config, p1_kick, float(p2), dtau, _PLAIN_NODES,
+            window_halfwidth, isolate, basis, cache,
+        ).s_echo
 
     # Coarse bracket: first interior maximum of |s|.
     grid = list(np.linspace(sp.p2_max / sp.coarse_points, sp.p2_max, sp.coarse_points))
@@ -622,12 +639,9 @@ def find_optimal_p2(
         # Rising at the top: extend the grid, growing the basis with it.
         step = grid[1] - grid[0]
         new = [grid[-1] + step * (i + 1) for i in range(sp.coarse_points // 2)]
-        wider = replace(template, pulses=(
-            template.pulses[0],
-            replace(template.pulses[1], kick=new[-1]),
-        ))
-        if wider.resolve_j_max() > basis.j_max:
-            basis = RotorBasis(wider.resolve_j_max())
+        j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
+        if j_wider > basis.j_max:
+            basis = RotorBasis(j_wider)
             cache.clear()
         grid.extend(new)
         vals.extend(abs(measure(p2)) for p2 in new)

@@ -26,23 +26,14 @@ qualitative studies and is labeled as nominal in output metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .basis import RotorBasis
-from .echo import (
-    _WORKER_BASES,
-    EchoCurve,
-    EchoMeasurement,
-    _isolated_trace,
-    _point_config,
-    echo_window_halfwidth,
-    extract_secho,
-)
-from .errors import ToleranceError, WindowError
-from .propagate import AlignmentTrace, ExperimentConfig, run_two_pulse
+from .echo import EchoCurve, _p2_scan
+from .propagate import ExperimentConfig
 
 # Placeholder waists in micrometres (probe half the pump).  Qualitative
 # studies only; outputs produced with these carry a nominal-geometry note.
@@ -115,51 +106,6 @@ def intensity_quadrature(geometry: BeamGeometry) -> list[tuple[float, float]]:
     return [(float(u[i]), float(w[i])) for i in order]
 
 
-def _averaged_point(
-    base: ExperimentConfig,
-    p1_kick: float,
-    p2_kick: float,
-    dtau: float,
-    nodes: list[tuple[float, float]],
-    halfwidth: float | None,
-    isolate: bool,
-    basis: RotorBasis,
-    first_pulse_cache: dict | None = None,
-) -> EchoMeasurement:
-    w_eff = echo_window_halfwidth(dtau, base.molecule, halfwidth)
-    nominal = _point_config(base, p1_kick, p2_kick, dtau)
-    times = None
-    acc = None
-    # fixed node order keeps the reduction bit-stable across runs
-    for fraction, weight in nodes:
-        cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
-        if isolate:
-            trace = _isolated_trace(cfg, basis, first_pulse_cache)
-        else:
-            trace = run_two_pulse(cfg, basis=basis)
-        if acc is None:
-            times = trace.times
-            acc = weight * trace.values
-        else:
-            acc = acc + weight * trace.values
-    averaged = AlignmentTrace(times=times, values=acc, config=nominal)
-    return extract_secho(averaged, dtau, w_eff)
-
-
-def _pool_averaged(args) -> EchoMeasurement | tuple[float, str]:
-    base, p1_kick, p2_kick, dtau, nodes, halfwidth, isolate = args
-    j_max = _point_config(base, p1_kick, p2_kick, dtau).resolve_j_max()
-    basis = _WORKER_BASES.get(j_max)
-    if basis is None:
-        basis = _WORKER_BASES.setdefault(j_max, RotorBasis(j_max))
-    try:
-        return _averaged_point(
-            base, p1_kick, p2_kick, dtau, nodes, halfwidth, isolate, basis
-        )
-    except (WindowError, ToleranceError) as exc:
-        return (p2_kick, str(exc))
-
-
 def averaged_scan_p2(
     p2_values,
     p1_kick: float,
@@ -179,58 +125,13 @@ def averaged_scan_p2(
     fraction and extracts the amplitude from the weighted-average
     trace.  The nominal (on-axis) kicks are what the returned points
     report.  A single on-axis shell reproduces the unaveraged scan.
+    The sin**2 fit is attached as in scan_p2, and a failed fit lands in
+    curve.failures (axis value nan).
     """
-    values = sorted(float(v) for v in p2_values)
-    if not values:
-        raise ValueError("empty scan grid")
-    if values[0] < 0.0:
-        raise ValueError("kick strengths must be non-negative")
-    nodes = intensity_quadrature(geometry)
-
-    points: list[EchoMeasurement] = []
-    failures: list[tuple[float, str]] = []
-    # pin one basis size (set by the top of the grid) into the configs
-    # so pooled and serial runs produce bit-identical numbers
-    top = _point_config(base_config, p1_kick, values[-1], dtau)
-    j_common = basis.j_max if basis is not None else top.resolve_j_max()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pinned = replace(base_config, j_max=j_common)
-        packed = [
-            (pinned, p1_kick, p2, dtau, nodes, window_halfwidth, isolate)
-            for p2 in values
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_pool_averaged, packed):
-                if isinstance(res, EchoMeasurement):
-                    points.append(res)
-                else:
-                    failures.append(res)
-    else:
-        if basis is None:
-            basis = RotorBasis(j_common)
-        cache: dict = {}
-        for p2 in values:
-            try:
-                points.append(
-                    _averaged_point(
-                        base_config,
-                        p1_kick,
-                        p2,
-                        dtau,
-                        nodes,
-                        window_halfwidth,
-                        isolate,
-                        basis,
-                        cache,
-                    )
-                )
-            except (WindowError, ToleranceError) as exc:
-                failures.append((p2, str(exc)))
-    points.sort(key=lambda m: m.p2_kick)
-    return EchoCurve(
-        scan_axis="p2_kick", points=tuple(points), failures=tuple(failures)
+    return _p2_scan(
+        p2_values, p1_kick, dtau, base_config, intensity_quadrature(geometry),
+        window_halfwidth, isolate, attach_fit=True, lobe_limit=None,
+        workers=workers, basis=basis,
     )
 
 

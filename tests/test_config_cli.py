@@ -65,6 +65,15 @@ COLD_SCAN_P2 = """\
     count = 6
     """
 
+COLD_SCAN_DTAU = COLD_SCAN_P2.replace(
+    "axis = p2\n    start = 0.25\n    stop = 1.5\n    count = 6",
+    "axis = dtau\n    start = 0.06\n    stop = 0.10\n    count = 3",
+).replace("p1_kick = 0.4", "p1_kick = 0.4\n    p2_kick = 0.3")
+COLD_SCAN_AVERAGED = (
+    COLD_SCAN_P2
+    + "averaged = yes\n\n[beam]\npump_waist_um = 30\nprobe_waist_um = 15\nn_shells = 2\n"
+)
+
 
 def read_csv(path):
     comments, rows = [], []
@@ -486,11 +495,7 @@ def test_scan_p2_writes_curve_and_fit(tmp_path, capsys):
 
 
 def test_scan_dtau_curve(tmp_path):
-    body = COLD_SCAN_P2.replace(
-        "axis = p2\n    start = 0.25\n    stop = 1.5\n    count = 6",
-        "axis = dtau\n    start = 0.06\n    stop = 0.10\n    count = 3",
-    ).replace("p1_kick = 0.4", "p1_kick = 0.4\n    p2_kick = 0.3")
-    cfg = write_cfg(tmp_path, body)
+    cfg = write_cfg(tmp_path, COLD_SCAN_DTAU)
     out = tmp_path / "sdt"
     assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
     _, header, rows = read_csv(out / "scan_dtau.csv")
@@ -502,11 +507,7 @@ def test_scan_dtau_curve(tmp_path):
 
 
 def test_scan_averaged_flag_and_geometry(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        COLD_SCAN_P2
-        + "averaged = yes\n\n[beam]\npump_waist_um = 30\nprobe_waist_um = 15\nn_shells = 2\n",
-    )
+    cfg = write_cfg(tmp_path, COLD_SCAN_AVERAGED)
     out = tmp_path / "avg"
     assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
     _, _, rows = read_csv(out / "scan_p2.csv")
@@ -516,15 +517,41 @@ def test_scan_averaged_flag_and_geometry(tmp_path):
     assert manifest.parameters["pump_waist_um"] == 30.0
 
 
-def test_scan_threads_do_not_change_bytes(tmp_path):
-    cfg = write_cfg(tmp_path, COLD_SCAN_P2.replace("jmax = 24\n", ""))
+def test_scan_p2_fit_failure_is_reported_once(tmp_path, capsys):
+    # all 8 points succeed, but only 3 lie on the first lobe: the fit
+    # failure is one manifest note and not a failed point
+    cfg = write_cfg(
+        tmp_path,
+        COLD_SCAN_P2.replace("stop = 1.5\n    count = 6", "stop = 14\n    count = 8"),
+    )
+    out = tmp_path / "long"
+    assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert "8 points" in line and "failed" not in line and "sin2 fit" not in line
+    manifest = RunManifest.load(out / "manifest.json")
+    assert manifest.outputs == ("scan_p2.csv",)
+    assert manifest.notes == ("sin2 fit: first lobe has 3 points; need at least 6",)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [COLD_SCAN_P2, COLD_SCAN_DTAU, COLD_SCAN_AVERAGED],
+    ids=["p2", "dtau", "averaged"],
+)
+def test_scan_threads_do_not_change_bytes(tmp_path, body):
+    cfg = write_cfg(tmp_path, body.replace("jmax = 24\n", ""))
     serial, pooled = tmp_path / "t1", tmp_path / "t2"
     assert cli.main(["scan", "--config", cfg, "--out-dir", str(serial)]) == 0
     rc = cli.main(
         ["scan", "--config", cfg, "--out-dir", str(pooled), "--threads", "2"]
     )
     assert rc == 0
-    assert (serial / "scan_p2.csv").read_bytes() == (pooled / "scan_p2.csv").read_bytes()
+    names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in pooled.iterdir() if p.name != "manifest.json")
+    if "axis = p2" in body:
+        assert names == ["fit_sin2.json", "scan_p2.csv"]
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
 def test_opt_writes_one_row_per_delay(tmp_path):

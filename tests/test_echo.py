@@ -145,6 +145,23 @@ def test_scan_p2_parallel_matches_serial():
     assert np.array_equal(serial.s_values(), parallel.s_values())
 
 
+def test_pooled_scans_keep_their_first_pulse_traces_apart():
+    # the first-pulse cache key omits the molecule, and OCS at 30 K and at
+    # 296 K share every part of it; a cache that outlived one scan's pool
+    # (or one serial scan) would hand the second scan the first one's trace
+    grid = np.linspace(0.3, 2.1, 4)
+    dtau = 0.125 * TREV
+    configs = [
+        two_pulse_config(mol, 0.5, 1.0, dtau)
+        for mol in (COLD, MoleculeSpec(b_cm=0.2034, name="OCS"))
+    ]
+    pooled = [scan_p2(grid, 0.5, dtau, cfg, attach_fit=False, workers=2) for cfg in configs]
+    serial = [scan_p2(grid, 0.5, dtau, cfg, attach_fit=False) for cfg in configs[::-1]][::-1]
+    for p, s in zip(pooled, serial):
+        assert p.s_values().tobytes() == s.s_values().tobytes()
+    assert not np.allclose(pooled[0].s_values(), pooled[1].s_values())
+
+
 def test_echo_curve_validation():
     pts = tuple(
         EchoMeasurement(dtau=1.0, p1_kick=1.0, p2_kick=p, s_echo=0.1, t_max=2.0, t_min=2.1)

@@ -10,6 +10,7 @@ from rotecho import (
     MoleculeSpec,
     averaged_scan_p2,
     first_minimum_depth,
+    fit_sin2,
     intensity_quadrature,
     revival_period,
     scan_p2,
@@ -159,6 +160,29 @@ def test_averaged_scan_rejects_bad_grid():
         averaged_scan_p2([], 0.2, DTAU, geom, base)
     with pytest.raises(ValueError, match="non-negative"):
         averaged_scan_p2([-0.1, 0.3], 0.2, DTAU, geom, base)
+
+
+def test_averaged_scan_attaches_the_sin2_fit():
+    grid = np.linspace(0.2, 1.2, 6)
+    base = two_pulse_config(COLD, 0.2, float(grid[-1]), DTAU)
+    geom = BeamGeometry(30.0, 15.0, n_shells=2)
+    curve = averaged_scan_p2(grid, 0.2, DTAU, geom, base)
+    assert curve.fit is not None
+    assert curve.fit == fit_sin2(curve)
+    assert curve.failures == ()
+
+
+def test_averaged_scan_records_a_failed_fit():
+    # the sign flip past the first lobe leaves too few lobe points to fit
+    grid = np.linspace(0.25, 14.0, 8)
+    base = two_pulse_config(COLD, 0.4, float(grid[-1]), DTAU, j_max=24)
+    geom = BeamGeometry(30.0, 15.0, n_shells=2)
+    curve = averaged_scan_p2(grid, 0.4, DTAU, geom, base)
+    assert len(curve) == 8
+    assert curve.fit is None
+    ((value, message),) = curve.failures
+    assert np.isnan(value)
+    assert message.startswith("sin2 fit: first lobe has")
 
 
 # ---------------------------------------------------------------- washout
