@@ -139,7 +139,7 @@ class RotorBasis:
                 block[idx + 2, idx] = off
             block.setflags(write=False)
             self._cos2_blocks.append(block)
-        self._eig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._eig_cache: dict[int, tuple] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RotorBasis(j_max={self.j_max})"
@@ -162,15 +162,22 @@ class RotorBasis:
         return self._cos2_blocks[m]
 
     def cos2_eigensystem(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors of cos2_block(m)."""
-        cached = self._eig_cache.get(m)
-        if cached is None:
-            w, v = np.linalg.eigh(self._cos2_blocks[m])
-            w.setflags(write=False)
-            v.setflags(write=False)
-            cached = (w, v)
-            self._eig_cache[m] = cached
-        return cached
+        """Eigenvalues and orthonormal eigenvectors of cos2_block(m),
+        assembled from the eigensystems of its two J-parity halves."""
+        (w0, v0), (w1, v1) = self._parity_eigensystems(m)
+        v = np.zeros((self.block_dim(m),) * 2)
+        v[0::2, : w0.size], v[1::2, w0.size :] = v0, v1
+        return np.concatenate([w0, w1]), v
+
+    def _parity_eigensystems(self, m: int) -> tuple:
+        """Eigensystems of the J-parity halves of cos2_block(m), rows 0::2
+        and 1::2 (cos^2 never mixes J parity); half 1 is empty at m = j_max."""
+        if m not in self._eig_cache:
+            halves = tuple(np.linalg.eigh(self._cos2_blocks[m][h::2, h::2]) for h in (0, 1))
+            for a in (a for half in halves for a in half):
+                a.setflags(write=False)
+            self._eig_cache[m] = halves
+        return self._eig_cache[m]
 
     def omegas(self, molecule: MoleculeSpec) -> np.ndarray:
         """Level angular frequencies w_J for J = 0 .. j_max, rad/ps."""
@@ -271,6 +278,24 @@ def _level_weights(molecule: MoleculeSpec, j_max: int) -> np.ndarray:
     return spin * np.exp(-boltzmann_exponents(molecule, js))
 
 
+def _thermal_populations(molecule: MoleculeSpec, j_max: int, truncation_tol: float) -> np.ndarray:
+    """Per-(J, m) populations of thermal_state for J = 0 .. j_max."""
+    from .errors import TruncationError
+
+    w = _level_weights(molecule, j_max)
+    degeneracy = 2.0 * np.arange(j_max + 1) + 1.0
+    z = float(np.sum(w * degeneracy))
+    p = w / z
+
+    top = p[j_max] * degeneracy[j_max]
+    if top > truncation_tol:
+        raise TruncationError(
+            f"population {top:.3e} at J = {j_max} exceeds "
+            f"tolerance {truncation_tol:.1e}; increase j_max"
+        )
+    return p
+
+
 def thermal_state(
     molecule: MoleculeSpec,
     basis: RotorBasis,
@@ -288,20 +313,7 @@ def thermal_state(
             top level J = j_max exceeds ``truncation_tol``, which
             signals that the basis is too small for this temperature.
     """
-    from .errors import TruncationError
-
-    w = _level_weights(molecule, basis.j_max)
-    degeneracy = 2.0 * np.arange(basis.j_max + 1) + 1.0
-    z = float(np.sum(w * degeneracy))
-    p = w / z
-
-    top = p[basis.j_max] * degeneracy[basis.j_max]
-    if top > truncation_tol:
-        raise TruncationError(
-            f"population {top:.3e} at J = {basis.j_max} exceeds "
-            f"tolerance {truncation_tol:.1e}; increase j_max"
-        )
-
+    p = _thermal_populations(molecule, basis.j_max, truncation_tol)
     blocks = []
     for m in range(basis.j_max + 1):
         diag = p[m:].astype(complex)

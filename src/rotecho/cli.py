@@ -32,6 +32,7 @@ from .config import load_config, molecule_preset
 from .echo import (
     SearchParams,
     _point_config,
+    _scan_jmax,
     find_optimal_p2,
     fit_decay,
     scan_dtau,
@@ -234,6 +235,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     base = settings.experiment()
     if args.jmax_override is not None:
         base = replace(base, j_max=args.jmax_override)
+    # pin the grid-wide j_max the scan runs at, so the manifest reports it
+    p1, p2, dtau = settings.p1_kick, settings.p2_kick, settings.dtau
+    points = [(p1, p2, v) if scan.axis == "dtau" else (p1, v, dtau) for v in grid]
+    base = replace(base, j_max=_scan_jmax(base, points))
     t_setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()

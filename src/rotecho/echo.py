@@ -16,7 +16,12 @@ traces by default (``isolate=True``), which removes every
 delay-independent term and leaves the rephased transient on a flat
 baseline; pass ``isolate=False`` to measure the raw trace instead.
 ``extract_secho`` itself never simulates anything and measures whatever
-trace it is handed.
+trace it is handed.  The optimum search, averaged scans and
+``run_isolated_echo`` run impulsive points through propagate's amplitude
+kernel, scans evaluating only the extraction window.  The density-matrix
+path (``run_pulse_sequence``) is the reference; it runs gaussian pulses
+and the plain ``scan_dtau`` / ``scan_p2`` scans, whose calls into it the
+benchmark's layer trace counts.
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -41,6 +46,8 @@ from .propagate import (
     TRACE_TAIL_FRACTION,
     AlignmentTrace,
     ExperimentConfig,
+    _impulsive_values,
+    _sample_times,
     run_pulse_sequence,
     run_two_pulse,
     two_pulse_config,
@@ -262,25 +269,30 @@ def extract_secho(
     )
 
 
-def _isolated_trace(
-    config: ExperimentConfig,
-    basis: RotorBasis,
-    first_pulse_cache: dict,
-) -> AlignmentTrace:
-    """Isolation workhorse; caches the first-pulse-only trace in
-    first_pulse_cache (it is identical across the points of a p2 scan)."""
-    full = run_two_pulse(config, basis=basis)
-    p1 = config.pulses[0]
-    key = (p1.kick, p1.shape, p1.duration_fwhm, config.t_end, config.dt_sample)
-    v1 = first_pulse_cache.get(key)
-    if v1 is None:
-        v1 = run_pulse_sequence(replace(config, pulses=config.pulses[:1]), basis=basis).values
-        first_pulse_cache[key] = v1
-    v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
-    # traces store alignment minus 1/3, so the cross term is a plain
-    # difference and sits on the same zero baseline as any other trace
-    values = full.values - v1 - v2
-    return AlignmentTrace(times=full.times, values=values, config=config)
+def _trace_values(
+    config: ExperimentConfig, basis: RotorBasis, first_pulse_cache: dict, isolate: bool,
+    select: np.ndarray | slice = slice(None), kernel: bool = True,
+) -> np.ndarray:
+    """Isolated (or raw) trace of a two-pulse config on the ``select`` part
+    of its grid.  With kernel, impulsive configs take the amplitude kernel,
+    which evaluates only those samples; others run the density-matrix path
+    and cache the first-pulse-only trace, identical across a p2 scan."""
+    if kernel and all(p.shape == "impulsive" for p in config.pulses):
+        times = _sample_times(config)[select]
+        return _impulsive_values(config, basis, first_pulse_cache, isolate, times)
+    values = run_two_pulse(config, basis=basis).values
+    if isolate:
+        p1 = config.pulses[0]
+        key = (p1.kick, p1.shape, p1.duration_fwhm, config.t_end, config.dt_sample)
+        v1 = first_pulse_cache.get(key)
+        if v1 is None:
+            v1 = run_pulse_sequence(replace(config, pulses=config.pulses[:1]), basis=basis).values
+            first_pulse_cache[key] = v1
+        v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
+        # traces store alignment minus 1/3, so the cross term is a plain
+        # difference and sits on the same zero baseline as any other trace
+        values = values - v1 - v2
+    return values[select]
 
 
 def run_isolated_echo(
@@ -298,7 +310,7 @@ def run_isolated_echo(
         raise ValueError("isolation needs exactly two pulses")
     if basis is None:
         basis = RotorBasis(config.resolve_j_max())
-    return _isolated_trace(config, basis, {})
+    return AlignmentTrace(_sample_times(config), _trace_values(config, basis, {}, True), config)
 
 
 def _point_config(
@@ -310,31 +322,24 @@ def _point_config(
     """Two-pulse config for one scan point, inheriting solver settings.
 
     Pulse shapes and durations come from the template's first two
-    pulses; t_end always tracks the echo position of *this* point.
+    pulses (its only pulse twice); t_end always tracks the echo position
+    of *this* point.
     """
-    if len(base.pulses) >= 2:
-        shapes = (base.pulses[0].shape, base.pulses[1].shape)
-        durations = (base.pulses[0].duration_fwhm, base.pulses[1].duration_fwhm)
-    elif len(base.pulses) == 1:
-        shapes = (base.pulses[0].shape,) * 2
-        durations = (base.pulses[0].duration_fwhm,) * 2
-    else:
-        shapes = ("impulsive", "impulsive")
-        durations = (0.1, 0.1)
+    first, second = (base.pulses * 2)[:2]
     cfg = two_pulse_config(
         base.molecule,
         p1_kick,
         p2_kick,
         dtau,
-        shape=shapes[0],
-        duration_fwhm=durations[0],
+        shape=first.shape,
+        duration_fwhm=first.duration_fwhm,
         dt_sample=base.dt_sample,
         j_max=base.j_max,
         solver=base.solver,
     )
-    if shapes[1] != shapes[0] or durations[1] != durations[0]:
-        second = replace(cfg.pulses[1], shape=shapes[1], duration_fwhm=durations[1])
-        cfg = replace(cfg, pulses=(cfg.pulses[0], second))
+    if (second.shape, second.duration_fwhm) != (first.shape, first.duration_fwhm):
+        pulse = replace(cfg.pulses[1], shape=second.shape, duration_fwhm=second.duration_fwhm)
+        cfg = replace(cfg, pulses=(cfg.pulses[0], pulse))
     return cfg
 
 
@@ -351,6 +356,7 @@ def _echo_point(
     nodes,
     halfwidth: float | None,
     isolate: bool,
+    kernel: bool,
     basis: RotorBasis,
     first_pulse_cache: dict,
 ) -> EchoMeasurement:
@@ -361,18 +367,20 @@ def _echo_point(
     measured once, at the nominal kicks.
     """
     w_eff = echo_window_halfwidth(dtau, base.molecule, halfwidth)
+    nominal = _point_config(base, p1_kick, p2_kick, dtau)
+    # the same window extract_secho reads; every node shares the grid
+    times = _sample_times(nominal)
+    select = (times >= 2.0 * dtau - w_eff) & (times <= 2.0 * dtau + w_eff)
     acc = None
     # fixed node order keeps the reduction bit-stable across runs
     for fraction, weight in nodes:
         cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
-        if isolate:
-            trace = _isolated_trace(cfg, basis, first_pulse_cache)
-        else:
-            trace = run_two_pulse(cfg, basis=basis)
-        acc = weight * trace.values if acc is None else acc + weight * trace.values
-    nominal = _point_config(base, p1_kick, p2_kick, dtau)
-    averaged = AlignmentTrace(times=trace.times, values=acc, config=nominal)
-    return extract_secho(averaged, dtau, w_eff)
+        values = _trace_values(cfg, basis, first_pulse_cache, isolate, select, kernel)
+        acc = weight * values if acc is None else acc + weight * values
+    # samples outside the window are never evaluated
+    values = np.full(times.shape, np.nan)
+    values[select] = acc
+    return extract_secho(AlignmentTrace(times=times, values=values, config=nominal), dtau, w_eff)
 
 
 def _scan_point(task: tuple, basis: RotorBasis, cache: dict) -> EchoMeasurement | tuple[float, str]:
@@ -400,27 +408,32 @@ def _worker_point(task: tuple) -> EchoMeasurement | tuple[float, str]:
     return _scan_point(task, *_worker)
 
 
+def _scan_jmax(base: ExperimentConfig, points) -> int:
+    """The one basis size of a scan over (p1, p2, dtau) points, the largest
+    any of them needs, so serial and pooled runs give identical numbers."""
+    return max(_point_config(base, p1, p2, d).resolve_j_max() for p1, p2, d in points)
+
+
 def _run_scan(
     tasks: list[tuple[float, float, float, float]],
     base: ExperimentConfig,
     nodes,
     halfwidth: float | None,
     isolate: bool,
+    kernel: bool,
     workers: int,
     basis: RotorBasis | None,
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
     """Scan driver over (axis value, p1, p2, dtau) tasks, serial or pooled.
 
     Points and failures come back in task order, failures keyed by the
-    scan-axis value.
+    scan-axis value.  kernel runs impulsive points through the amplitude
+    kernel instead of the density-matrix path.
     """
-    # all points share one basis size (the largest any of them needs),
-    # so serial and pooled runs produce bit-identical numbers
-    j_common = (
-        basis.j_max if basis is not None
-        else max(_point_config(base, p1, p2, d).resolve_j_max() for _, p1, p2, d in tasks)
-    )
-    packed = [(ax, base, p1, p2, d, nodes, halfwidth, isolate) for ax, p1, p2, d in tasks]
+    j_common = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
+    packed = [
+        (ax, base, p1, p2, d, nodes, halfwidth, isolate, kernel) for ax, p1, p2, d in tasks
+    ]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(j_common,)
@@ -462,18 +475,19 @@ def scan_dtau(
         raise ValueError("separations must lie strictly inside (0, T_rev)")
     tasks = [(float(d), p1_kick, p2_kick, float(d)) for d in grid]
     points, failures = _run_scan(
-        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, basis
+        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, False, workers, basis
     )
     return EchoCurve("dtau", tuple(points), fit=None, failures=tuple(failures))
 
 
 def _p2_scan(
     p2_values, p1_kick: float, dtau: float, base_config: ExperimentConfig, nodes,
-    window_halfwidth: float | None, isolate: bool, attach_fit: bool,
+    window_halfwidth: float | None, isolate: bool, kernel: bool, attach_fit: bool,
     lobe_limit: float | None, workers: int, basis: RotorBasis | None,
 ) -> EchoCurve:
     """Second-pulse scan over the given quadrature nodes: the body of
-    scan_p2 (one plain node) and of focal.averaged_scan_p2."""
+    scan_p2 (one plain node, density-matrix path) and of
+    focal.averaged_scan_p2 (amplitude kernel)."""
     grid = np.sort(np.asarray(p2_values, dtype=float))
     if grid.size == 0:
         raise ValueError("empty kick grid")
@@ -481,7 +495,7 @@ def _p2_scan(
         raise ValueError("kicks must be non-negative")
     tasks = [(float(p2), p1_kick, float(p2), float(dtau)) for p2 in grid]
     points, failures = _run_scan(
-        tasks, base_config, nodes, window_halfwidth, isolate, workers, basis
+        tasks, base_config, nodes, window_halfwidth, isolate, kernel, workers, basis
     )
     fit = None
     if attach_fit and len(points) >= 6:
@@ -513,7 +527,7 @@ def scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, _PLAIN_NODES, window_halfwidth,
-        isolate, attach_fit, lobe_limit, workers, basis,
+        isolate, False, attach_fit, lobe_limit, workers, basis,
     )
 
 
@@ -616,7 +630,7 @@ def find_optimal_p2(
     def measure(p2: float) -> float:
         return _echo_point(
             base_config, p1_kick, float(p2), dtau, _PLAIN_NODES,
-            window_halfwidth, isolate, basis, cache,
+            window_halfwidth, isolate, True, basis, cache,
         ).s_echo
 
     # Coarse bracket: first interior maximum of |s|.

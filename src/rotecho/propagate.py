@@ -7,8 +7,12 @@ intensity envelope; the propagator is built from exact exponentials of
 the split parts (Strang ordering) on a fixed substep mesh, so the
 evolution is unconditionally unitary and the only discretization error
 is the splitting itself.  The impulsive limit applies
-U = exp(i*kick*cos^2 theta) in one step and doubles as the fast path
-for parameter scans.
+U = exp(i*kick*cos^2 theta) in one step.
+
+This density-matrix path is the reference.  The optimum search,
+averaged scans and isolated echoes of impulsive configs run the
+amplitude kernel at the end of the module, which kicks the thermal
+columns W = sqrt(p) of rho = W W^dagger per (m, J-parity) half-block.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .basis import (
     MBlockDensityMatrix,
     MoleculeSpec,
     RotorBasis,
+    _thermal_populations,
     choose_jmax,
     revival_period,
     thermal_state,
@@ -135,8 +140,8 @@ def two_pulse_config(
 
     Defaults: the trace is sampled on a T_rev/2048 grid and runs to
     2*dtau + 0.06*T_rev, just past the expected echo position.  Pulses
-    default to the impulsive fast path, which is what parameter scans
-    want; pass shape="gaussian" to integrate the finite 0.1 ps envelope
+    default to the impulsive limit, which the scans' amplitude kernel
+    runs; pass shape="gaussian" to integrate the finite 0.1 ps envelope
     instead (same post-pulse physics to a few percent, much slower).
     """
     if dtau <= 0.0:
@@ -255,9 +260,9 @@ def _coherence_spectrum(
     return dc, amp, freqs
 
 
-def _free_values(rho: MBlockDensityMatrix, t_rel: np.ndarray) -> np.ndarray:
-    """<cos^2 theta> at the given offsets from the state's own time."""
-    dc, amp, freqs = _coherence_spectrum(rho)
+def _free_values(spectrum: tuple, t_rel: np.ndarray) -> np.ndarray:
+    """<cos^2 theta> at offsets t_rel from a state's (dc, amp, freqs) spectrum."""
+    dc, amp, freqs = spectrum
     if amp.size == 0:
         return np.full(t_rel.shape, dc)
     osc = np.exp(1j * np.outer(t_rel, freqs)) @ amp
@@ -379,18 +384,21 @@ def apply_pulse(
     return out
 
 
-def _check_drift(rho: MBlockDensityMatrix, solver: SolverOptions) -> None:
-    drift = abs(rho.weighted_trace() - 1.0)
+def _check_drift(trace: float, solver: SolverOptions, defect: float = 0.0) -> None:
+    """Raise ToleranceError for a weighted trace off 1 or a hermiticity defect."""
+    drift = abs(trace - 1.0)
     if drift > solver.trace_tol:
-        raise ToleranceError(
-            f"trace drift {drift:.3e} exceeds {solver.trace_tol:.1e}; "
-            "increase solver substeps"
-        )
-    defect = rho.hermiticity_defect()
+        raise ToleranceError(f"trace drift {drift:.3e} exceeds {solver.trace_tol:.1e}")
     if defect > solver.herm_tol:
         raise ToleranceError(
             f"hermiticity defect {defect:.3e} exceeds {solver.herm_tol:.1e}"
         )
+
+
+def _sample_times(config: ExperimentConfig) -> np.ndarray:
+    """The uniform trace grid t = 0, dt_sample, .. up to t_end."""
+    n_samples = int(math.floor(config.t_end / config.dt_sample + 1e-9)) + 1
+    return config.dt_sample * np.arange(n_samples)
 
 
 def run_pulse_sequence(
@@ -410,8 +418,8 @@ def run_pulse_sequence(
         basis = RotorBasis(config.resolve_j_max())
     rho = thermal_state(config.molecule, basis, solver.truncation_tol)
 
-    n_samples = int(math.floor(config.t_end / config.dt_sample + 1e-9)) + 1
-    times = config.dt_sample * np.arange(n_samples)
+    times = _sample_times(config)
+    n_samples = times.size
     values = np.empty(n_samples)
     ptr = 0
 
@@ -424,7 +432,7 @@ def run_pulse_sequence(
     for pulse, (w_start, w_end) in zip(config.pulses, windows):
         k = int(np.searchsorted(times, w_start, side="left"))
         if k > ptr:
-            values[ptr:k] = _free_values(rho, times[ptr:k] - cursor)
+            values[ptr:k] = _free_values(_coherence_spectrum(rho), times[ptr:k] - cursor)
             ptr = k
         if w_start > cursor:
             rho = free_evolve(rho, w_start - cursor)
@@ -436,11 +444,11 @@ def run_pulse_sequence(
             rho, vals = _apply_gaussian_pulse(rho, pulse, solver, inner)
             values[ptr:k] = vals
             ptr = k
-            _check_drift(rho, solver)
+        _check_drift(rho.weighted_trace(), solver, rho.hermiticity_defect())
         cursor = w_end
 
     if ptr < n_samples:
-        values[ptr:] = _free_values(rho, times[ptr:] - cursor)
+        values[ptr:] = _free_values(_coherence_spectrum(rho), times[ptr:] - cursor)
     return AlignmentTrace(times=times, values=values - 1.0 / 3.0, config=config)
 
 
@@ -457,3 +465,96 @@ def run_two_pulse(
 def with_substeps(config: ExperimentConfig, substeps: int) -> ExperimentConfig:
     """Copy of the config with a different pulse-integration mesh."""
     return replace(config, solver=replace(config.solver, substeps=substeps))
+
+
+# --- amplitude kernel for impulsive two-pulse runs ------------------------
+
+
+def _rotate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """v @ a for real v and complex a, as one real product."""
+    return (v @ np.ascontiguousarray(a).view(np.float64)).view(np.complex128)
+
+
+def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
+    """(halves, coherence frequencies).  A half is (first J, g * cos^2
+    diagonal, g * Delta-J = 2 elements, degeneracy g, eigenvalues, V, level
+    frequencies, V^T W) with W = sqrt(p) on its populated levels, if any."""
+    p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
+    omegas = basis.omegas(config.molecule)
+    halves = []
+    for m in range(basis.j_max + 1):
+        g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
+        for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
+            pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
+            if cols.size:
+                vt_w = v.T[:, cols] * np.sqrt(pop[cols])
+                halves.append((m + h, g * c.diagonal()[h::2], g * c.diagonal(2)[h::2], g,
+                               lam, v, omegas[m + h :: 2], vt_w))
+    return halves, omegas[2:] - omegas[:-2]
+
+
+def _spectra(thermal: tuple, states, n_states: int, solver: SolverOptions) -> list:
+    """(dc, amp, freqs) of n_states states, as _coherence_spectrum gives
+    them; states holds one (rows, n_states * columns) amplitude array per
+    half, reduced at once to row dot products.  Checks each weighted norm."""
+    halves, freqs = thermal
+    dc, norm = np.zeros(n_states), np.zeros(n_states)
+    amp = np.zeros((n_states, freqs.size), dtype=complex)
+    for (j0, gcd, gco, g, *_), z in zip(halves, states):
+        z = z.reshape(z.shape[0], n_states, -1)
+        pop = np.einsum("isj,isj->is", z.view(np.float64), z.view(np.float64))
+        dc += gcd @ pop
+        norm += g * pop.sum(axis=0)
+        amp[:, j0 : j0 + 2 * gco.size : 2] += np.einsum("isj,isj->si", z[:-1], z[1:].conj()) * gco
+    for total in norm:
+        _check_drift(total, solver)
+    return [(dc[s], amp[s], freqs) for s in range(n_states)]
+
+
+def _piecewise(times: np.ndarray, stages: list) -> np.ndarray:
+    """Alignment minus 1/3 at grid times: isotropic before the first kick,
+    then each (kick time, spectrum) stage from its kick instant on."""
+    out = np.full(times.shape, 1.0 / 3.0)
+    starts = [int(np.searchsorted(times, t, side="left")) for t, _ in stages]
+    for (t, spectrum), lo, hi in zip(stages, starts, starts[1:] + [times.size]):
+        out[lo:hi] = _free_values(spectrum, times[lo:hi] - t)
+    return out - 1.0 / 3.0
+
+
+def _impulsive_values(
+    config: ExperimentConfig, basis: RotorBasis, cache: dict, isolate: bool, times: np.ndarray
+) -> np.ndarray:
+    """An impulsive two-pulse config's trace at times on its grid, minus
+    both single-pulse traces when isolate, in run_pulse_sequence's form.
+
+    cache keeps the thermal halves and one first-pulse entry: the post-kick-1
+    spectrum and, per half, Y = [V^T F(dtau) W_1 | V^T W] with F the free
+    phases.  The second kick then costs one product V @ (exp(i*kick*lambda)
+    * Y) per half for the two-pulse and second-pulse-only amplitudes."""
+    (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
+    if "thermal" not in cache:
+        cache["thermal"] = _thermal_halves(config, basis)
+    thermal = cache["thermal"]
+    if cache.get("first", (None,))[0] != (k1, t_b - t_a):
+        cache.pop("first", None)  # free the old entry before building the new one
+        ys = []
+
+        def first_kick():  # one half's W_1 alive at a time
+            for *_, lam, v, om, vt_w in thermal[0]:
+                w1 = _rotate(v, np.exp(1j * k1 * lam)[:, None] * vt_w)
+                x = _rotate(v.T, np.exp(-1j * (t_b - t_a) * om)[:, None] * w1)
+                ys.append(np.concatenate([x, vt_w], axis=1))
+                yield w1
+
+        cache["first"] = ((k1, t_b - t_a), *_spectra(thermal, first_kick(), 1, config.solver), ys)
+    _, s1, ys = cache["first"]
+    n = 2 if isolate else 1
+    second_kick = (
+        _rotate(v, np.exp(1j * k2 * lam)[:, None] * y[:, : n * vt_w.shape[1]])
+        for (*_, lam, v, _, vt_w), y in zip(thermal[0], ys)
+    )
+    s12, *s2 = _spectra(thermal, second_kick, n, config.solver)
+    full = _piecewise(times, [(t_a, s1), (t_b, s12)])
+    if not isolate:
+        return full
+    return full - _piecewise(times, [(t_a, s1)]) - _piecewise(times, [(t_b, s2[0])])

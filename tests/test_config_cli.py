@@ -533,6 +533,15 @@ def test_scan_p2_fit_failure_is_reported_once(tmp_path, capsys):
     assert manifest.notes == ("sin2 fit: first lobe has 3 points; need at least 6",)
 
 
+def test_scan_manifest_reports_the_grid_wide_jmax(tmp_path):
+    # the [pulses] kicks alone (p2_kick 0) resolve to j_max 33; the scan
+    # runs at what its top kick of 1.5 needs
+    cfg = write_cfg(tmp_path, COLD_SCAN_P2.replace("jmax = 24\n", ""))
+    out = tmp_path / "auto"
+    assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert RunManifest.load(out / "manifest.json").parameters["j_max"] == 37
+
+
 @pytest.mark.parametrize(
     "body",
     [COLD_SCAN_P2, COLD_SCAN_DTAU, COLD_SCAN_AVERAGED],
