@@ -91,17 +91,19 @@ def test_gaussian_configs_keep_the_density_matrix_path():
 
 
 def test_trace_drift_guard_covers_impulsive_runs():
+    # gaussian runs take the factored pulse kernel inside run_pulse_sequence
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=30.0)
     dtau = 0.125 * revival_period(mol)
-    cfg = two_pulse_config(mol, 0.5, 1.0, dtau, solver=SolverOptions(trace_tol=1e-300))
-    with pytest.raises(ToleranceError, match="trace drift"):
-        run_two_pulse(cfg)
-    with pytest.raises(ToleranceError, match="trace drift"):
-        run_isolated_echo(cfg)
-    shells = averaged_scan_p2([1.0], 0.5, dtau, BeamGeometry.nominal(2), cfg)
-    assert [v for v, _ in shells.failures] == [1.0]
-    assert shells.failures[0][1].startswith("trace drift")
-    curve = scan_p2([1.0], 0.5, dtau, cfg, attach_fit=False)
-    assert len(curve) == 0
-    assert [v for v, _ in curve.failures] == [1.0]
-    assert curve.failures[0][1].startswith("trace drift")
+    for shape in ("impulsive", "gaussian"):
+        cfg = two_pulse_config(mol, 0.5, 1.0, dtau, shape=shape, solver=SolverOptions(trace_tol=1e-300))
+        with pytest.raises(ToleranceError, match="trace drift"):
+            run_two_pulse(cfg)
+        with pytest.raises(ToleranceError, match="trace drift"):
+            run_isolated_echo(cfg)
+        shells = averaged_scan_p2([1.0], 0.5, dtau, BeamGeometry.nominal(2), cfg)
+        assert [v for v, _ in shells.failures] == [1.0]
+        assert shells.failures[0][1].startswith("trace drift")
+        curve = scan_p2([1.0], 0.5, dtau, cfg, attach_fit=False)
+        assert len(curve) == 0
+        assert [v for v, _ in curve.failures] == [1.0]
+        assert curve.failures[0][1].startswith("trace drift")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,14 @@ from rotecho import cli, runio
 from rotecho.runio import RunManifest
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# child interpreters import the same source tree as this process, which
+# may have it on sys.path only through pytest's pythonpath setting
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -673,7 +682,7 @@ def test_version_via_module_and_script():
     # without tomllib (Python 3.10) only the module form is checked
     got = subprocess.run(
         [sys.executable, "-m", "rotecho", "--version"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
     assert got.stdout.strip().startswith("rotecho ")
     tomllib = pytest.importorskip("tomllib")
@@ -683,7 +692,7 @@ def test_version_via_module_and_script():
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     got = subprocess.run(
         [sys.executable, "-c", launcher, "--version"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
     assert got.stdout.strip().startswith("rotecho ")
 
