@@ -187,6 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "j_max": cfg.resolve_j_max(),
             "dt_sample_ps": cfg.dt_sample,
             "t_end_ps": cfg.t_end,
+            **({"substeps": cfg.solver.substeps} if settings.shape == "gaussian" else {}),
         },
         config_sha256=digest,
         molecule=_molecule_label(settings.molecule),
@@ -212,6 +213,8 @@ def _scan_parameters(settings, resolved_jmax: int) -> dict:
     }
     if scan.window_halfwidth is not None:
         params["window_halfwidth_ps"] = scan.window_halfwidth
+    if settings.shape == "gaussian":
+        params["substeps"] = settings.solver.substeps
     if scan.axis == "p2":
         params["dtau_ps"] = settings.dtau
     else:

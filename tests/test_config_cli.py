@@ -441,6 +441,7 @@ def test_simulate_writes_trace_and_manifest(tmp_path, capsys):
     assert manifest.molecule == "OCS-cold"
     assert manifest.parameters["j_max"] == 24
     assert manifest.parameters["shape"] == "impulsive"
+    assert "substeps" not in manifest.parameters  # an impulsive run has no pulse mesh
     assert manifest.config_sha256 == digest
     assert set(manifest.timings_s) == {"setup", "run", "write"}
 
@@ -449,6 +450,19 @@ def test_simulate_writes_trace_and_manifest(tmp_path, capsys):
     trace = run_two_pulse(settings.experiment())
     assert len(rows) == trace.times.size
     assert [r[1] for r in rows[:50]] == [runio.fmt(v) for v in trace.values[:50]]
+
+
+def test_gaussian_manifests_record_the_pulse_mesh(tmp_path):
+    # the mesh is outside the byte contract, so only the manifest tells
+    # runs on different meshes apart
+    gaussian = "[pulses]\n    shape = gaussian"
+    text = COLD_SIM.replace("[pulses]", gaussian).replace("jmax = 24", "jmax = 24\n    substeps = 16")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert RunManifest.load(tmp_path / "out" / "manifest.json").parameters["substeps"] == 16
+    scan = load_config(write_cfg(tmp_path, COLD_SCAN_P2.replace("[pulses]", gaussian)))
+    assert cli._scan_parameters(scan, 24)["substeps"] == 48
+    assert "substeps" not in cli._scan_parameters(load_config(write_cfg(tmp_path, COLD_SCAN_P2)), 24)
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):

@@ -1,7 +1,8 @@
 """The factored gaussian pulse kernel against a dense full-block oracle.
 
-The oracle runs the Strang chain on the whole density matrix of each m
-block, rho~ <- Q rho~ Q^dagger, on the same substep mesh.
+The oracle runs the split chain on the whole density matrix of each m
+block, rho~ <- Q rho~ Q^dagger, on the same triple-jump stages: one
+full-block Q per distinct free flight, a sandwich after each kick.
 """
 
 from unittest import mock
@@ -29,23 +30,22 @@ kicks = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 
 
 def _dense_pulse(rho, pulse, solver, sample_times=None):
-    """The Strang chain sandwiching each full m block; same returns as
+    """The split chain sandwiching each full m block; same returns as
     propagate._apply_gaussian_pulse."""
     basis, omegas = rho.basis, rho.basis.omegas(rho.molecule)
     eig = [basis.cos2_eigensystem(m) for m in range(basis.j_max + 1)]
     tilde = [v.T @ block @ v for (_, v), block in zip(eig, rho.blocks)]
     values = []
-    for alphas, dt, is_sample in _pulse_segments(pulse, solver, () if sample_times is None else sample_times):
+    for alphas, taus, is_sample in _pulse_segments(pulse, solver, () if sample_times is None else sample_times):
+        flights, which = np.unique(taus, return_inverse=True)
         for m, (lam, v) in enumerate(eig if alphas.size else ()):
-            d = np.exp(-0.5j * omegas[m:] * dt)
-            q_half, q_full = (v.T @ (dd[:, None] * v) for dd in (d, d * d))
-            rt = q_half @ tilde[m] @ q_half.conj().T
-            for i, alpha in enumerate(alphas):
+            q = [v.T @ (np.exp(-1j * tau * omegas[m:])[:, None] * v) for tau in flights]
+            rt = q[which[0]] @ tilde[m] @ q[which[0]].conj().T
+            for alpha, i in zip(alphas, which[1:]):
                 ph = np.exp(1j * alpha * lam)
                 rt = (ph[:, None] * rt) * ph.conj()[None, :]
-                if i + 1 < alphas.size:
-                    rt = q_full @ rt @ q_full.conj().T
-            tilde[m] = q_half @ rt @ q_half.conj().T
+                rt = q[i] @ rt @ q[i].conj().T
+            tilde[m] = rt
         if is_sample:
             values.append(sum(
                 MBlockDensityMatrix.degeneracy(m) * np.dot(t.diagonal().real, lam)

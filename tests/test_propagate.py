@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotecho import (
     AlignmentTrace,
+    ExperimentConfig,
     MoleculeSpec,
     PulseSpec,
     RotorBasis,
@@ -15,6 +17,7 @@ from rotecho import (
     impulsive_kick,
     revival_period,
     run_pulse_sequence,
+    SolverOptions,
     run_two_pulse,
     thermal_state,
     two_pulse_config,
@@ -149,16 +152,53 @@ def test_run_two_pulse_requires_two_pulses(ocs, trev):
 
 
 def test_gaussian_mesh_halving():
-    # halving the pulse integration mesh moves the trace by < 1e-7,
-    # so the default 512 substeps sit well inside convergence
+    # the default mesh agrees with a finer 256-step mesh and with half its
+    # own steps to < 1e-7, so the default sits well inside convergence
     t_rev = revival_period(COLD)
     dtau = 0.07 * t_rev
     cfg = two_pulse_config(
         COLD, 0.5, 0.3, dtau, shape="gaussian", t_end=dtau + 3.0
     )
-    fine = run_two_pulse(cfg)
-    coarse = run_two_pulse(with_substeps(cfg, 256))
-    assert np.max(np.abs(fine.values - coarse.values)) < 1e-7
+    default = run_two_pulse(cfg)
+    fine = run_two_pulse(with_substeps(cfg, 256))
+    assert np.max(np.abs(default.values - fine.values)) < 1e-7
+    half = run_two_pulse(with_substeps(cfg, cfg.solver.substeps // 2))
+    assert np.max(np.abs(default.values - half.values)) < 1e-7
+
+
+def test_pulse_integrator_is_fourth_order():
+    # doubling the steps cuts the error 16-fold for a fourth-order chain;
+    # plain Strang stages would give 4, which the dense oracle cannot see
+    # because it runs on the same stages
+    dtau = 0.07 * revival_period(COLD)
+    cfg = two_pulse_config(COLD, 0.5, 0.3, dtau, shape="gaussian", t_end=dtau + 3.0)
+    ref = run_two_pulse(with_substeps(cfg, 256)).values
+    err = [np.max(np.abs(run_two_pulse(with_substeps(cfg, n)).values - ref)) for n in (8, 16)]
+    assert err[0] / err[1] >= 12.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(["impulsive", "gaussian"]),
+    temperature=st.sampled_from([0.0, 30.0, 296.0]),
+    weight_odd=st.sampled_from([0.0, 1.0]),
+    kick=st.floats(0.0, 3.0),
+    j_max=st.integers(4, 40),
+)
+def test_post_pulse_trace_repeats_after_one_revival(shape, temperature, weight_odd, kick, j_max):
+    # every coherence frequency is a multiple of 2*pi/T_rev, so once the
+    # pulse is over the trace repeats with period T_rev on any basis
+    mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_odd=weight_odd)
+    t_rev, per_rev = revival_period(mol), 512
+    pulse = PulseSpec(t0=0.5, kick=kick, shape=shape)
+    cfg = ExperimentConfig(
+        mol, (pulse,), t_end=1.3 * t_rev, dt_sample=t_rev / per_rev, j_max=j_max,
+        solver=SolverOptions(truncation_tol=1.0),
+    )
+    trace = run_pulse_sequence(cfg)
+    after = np.flatnonzero(trace.times[:-per_rev] > 1.0)
+    assert after.size > 100
+    assert np.max(np.abs(trace.values[after + per_rev] - trace.values[after])) <= 1e-12
 
 
 def test_perturbative_response_is_linear_in_kick(ocs, trev):
