@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_M_PER_S, h as _H, k as _KB
+
+# c, h and k_B are exact by definition since the 2019 SI: scipy.constants
+# holds the same doubles, but importing it slows every CLI call's start
+_C_M_PER_S, _H, _KB = 299792458.0, 6.62607015e-34, 1.380649e-23
 
 # Speed of light in cm/ps: converts B [1/cm] into optical cycles per ps.
 C_CM_PER_PS = _C_M_PER_S * 100.0 * 1e-12
@@ -126,17 +129,16 @@ class RotorBasis:
         self.j_max = int(j_max)
         self._cos2_blocks: list[np.ndarray] = []
         for m in range(self.j_max + 1):
-            js = np.arange(m, self.j_max + 1)
-            n = js.size
-            block = np.zeros((n, n))
-            block[np.arange(n), np.arange(n)] = [
-                cos2theta_element(j, j, m) for j in js
-            ]
-            off = np.array([cos2theta_element(j, j + 2, m) for j in js[:-2]])
-            if off.size:
-                idx = np.arange(off.size)
-                block[idx, idx + 2] = off
-                block[idx + 2, idx] = off
+            # cos2theta_element on int64 J arrays in its operation order; each
+            # numerator is below 2**53 (j_max < 9000), so quotients round alike
+            j = np.arange(m, self.j_max + 1, dtype=np.int64)
+            num, den = j * (j + 1) - 3 * m * m, (2 * j - 1) * (2 * j + 3)
+            block = np.diag(1.0 / 3.0 + (2.0 / 3.0) * (num / den))
+            j = j[:-2]
+            num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
+            off = np.sqrt(num / ((2 * j + 1) * (2 * j + 5))) / (2 * j + 3)
+            idx = np.arange(off.size)
+            block[idx, idx + 2] = block[idx + 2, idx] = off
             block.setflags(write=False)
             self._cos2_blocks.append(block)
         self._eig_cache: dict[int, tuple] = {}

@@ -317,12 +317,14 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
     t1 = time.perf_counter()
     rows = []
+    grown: list[RotorBasis] = []  # bases a bracket extension built
     for dtau in grid:
         p2_opt, s_max = find_optimal_p2(
             dtau, settings.p1_kick, base, search,
             window_halfwidth=scan.window_halfwidth,
             isolate=scan.isolate,
             basis=basis,
+            _grown=grown,
         )
         rows.append((dtau, p2_opt, s_max))
     t_run = time.perf_counter() - t1
@@ -331,7 +333,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     meta = {"config_sha256": digest, "command": _canonical_command(args)}
     t2 = time.perf_counter()
     runio.write_opt_csv(out / "optimal_p2.csv", rows, meta)
-    params = _scan_parameters(settings, template.resolve_j_max())
+    params = _scan_parameters(settings, max(b.j_max for b in [basis, *grown]))
     params["p2_max"] = search.p2_max
     runio.write_manifest(
         out / "manifest.json",

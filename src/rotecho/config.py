@@ -137,7 +137,7 @@ def molecule_preset(preset: str) -> MoleculeSpec:
             f"unknown molecule preset {preset!r}; available: "
             + ", ".join(available_presets())
         ) from None
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.read_string(text, source=f"preset {preset}")
     if not parser.has_section("molecule"):
         raise ConfigError(f"preset {preset!r} lacks a [molecule] section")
@@ -217,7 +217,7 @@ class RunSettings:
 
 def load_config(path: str) -> RunSettings:
     """Parse and validate one run configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)

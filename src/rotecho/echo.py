@@ -38,7 +38,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
 
 from .basis import MoleculeSpec, RotorBasis, revival_period
 from .errors import BracketError, FitError, ToleranceError, WindowError
@@ -550,6 +549,7 @@ def fit_sin2(curve: EchoCurve, lobe_limit: float | None = None) -> Sin2Fit:
     ``lobe_limit`` crops the lobe to kicks <= that value.  Needs at
     least 6 points.  residual = RMS misfit / a.
     """
+    from scipy.optimize import curve_fit
     if curve.scan_axis != "p2_kick":
         raise ValueError("sin2 fit applies to p2 scans")
     x = curve.axis_values()
@@ -614,13 +614,14 @@ def find_optimal_p2(
     window_halfwidth: float | None = None,
     isolate: bool = True,
     basis: RotorBasis | None = None,
+    _grown: list[RotorBasis] | None = None,
 ) -> tuple[float, float]:
     """First maximum of |s_echo| along p2: (p2_opt, s_echo there).
 
     Coarse grid over (0, p2_max], extended up to max_extensions times
     while |s| is still rising at the top, then golden-section to
     rel_tol in p2.  The single-pulse backgrounds are cached across
-    evaluations.
+    evaluations.  A bracket extension that grows the basis appends it to ``_grown``.
     """
     sp = search_params or SearchParams()
     if basis is None:
@@ -657,6 +658,8 @@ def find_optimal_p2(
         if j_wider > basis.j_max:
             basis = RotorBasis(j_wider)
             cache.clear()
+            if _grown is not None:
+                _grown.append(basis)
         grid.extend(new)
         vals.extend(abs(measure(p2)) for p2 in new)
         extensions += 1
@@ -690,6 +693,7 @@ def master_curve_check(
     above one.  Returns the factors (reference = 1) and the pooled RMS
     deviation relative to the reference peak.
     """
+    from scipy.optimize import minimize_scalar
     if len(curves) < 2:
         raise ValueError("need at least two curves")
     for c in curves:
@@ -761,6 +765,7 @@ def fit_decay(
     two-parameter model(t, amplitude, rate) may be passed.  A negative
     fitted rate is flagged, not raised.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit
     data = np.asarray(list(measurements), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
         raise FitError("need at least 4 (dtau, s_echo_max) pairs")

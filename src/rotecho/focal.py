@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .basis import RotorBasis
 from .echo import EchoCurve, _p2_scan
@@ -74,6 +73,7 @@ def _gauss_jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     beta reaches a few hundred; the probe -> 0 limit needs beta ~ 1e8,
     and normalized weights never need the mass at all.
     """
+    from scipy.linalg import eigh_tridiagonal
     diag = np.empty(n)
     diag[0] = beta / (beta + 2.0)
     if n == 1:

@@ -102,6 +102,32 @@ def test_cos2_block_matches_elements():
                 )
 
 
+def test_physical_constants_match_scipy_exactly():
+    # c, h and k_B are exact in the SI; the literals must equal scipy's
+    from scipy.constants import c, h, k
+
+    from rotecho import basis as basis_module
+
+    assert basis_module.C_CM_PER_PS == c * 100.0 * 1e-12
+    assert basis_module.RAD_PS_PER_CM == 2.0 * math.pi * (c * 100.0 * 1e-12)
+    assert basis_module.CM_KELVIN == h * (c * 100.0) / k
+
+
+@pytest.mark.parametrize("j_max", [2, 3, 40, 121])
+def test_cos2_blocks_equal_the_scalar_elements_exactly(j_max):
+    basis = RotorBasis(j_max)
+    for m in range(j_max + 1):
+        js = [int(j) for j in basis.j_values(m)]
+        block = basis.cos2_block(m)
+        assert not block.flags.writeable
+        expected = np.array(
+            [[cos2theta_element(j, jp, m) if abs(j - jp) in (0, 2) else 0.0 for jp in js]
+             for j in js]
+        )
+        assert block.dtype == expected.dtype
+        assert block.tobytes() == expected.tobytes()
+
+
 def test_cos2_eigensystem_reconstructs_block():
     basis = RotorBasis(12)
     w, v = basis.cos2_eigensystem(3)

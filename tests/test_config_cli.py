@@ -4,13 +4,16 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
+import string
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rotecho import (
     ConfigError,
@@ -21,6 +24,7 @@ from rotecho import (
     run_two_pulse,
 )
 from rotecho import cli, runio
+from rotecho.config import _SECTION_KEYS
 from rotecho.runio import RunManifest
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -78,6 +82,10 @@ COLD_SCAN_DTAU = COLD_SCAN_P2.replace(
     "axis = p2\n    start = 0.25\n    stop = 1.5\n    count = 6",
     "axis = dtau\n    start = 0.06\n    stop = 0.10\n    count = 3",
 ).replace("p1_kick = 0.4", "p1_kick = 0.4\n    p2_kick = 0.3")
+COLD_OPT = COLD_SCAN_P2.replace(
+    "axis = p2\n    start = 0.25\n    stop = 1.5\n    count = 6",
+    "axis = dtau\n    start = 0.125\n    stop = 0.125\n    count = 1\n    p2_max = 4.0",
+)
 COLD_SCAN_AVERAGED = (
     COLD_SCAN_P2
     + "averaged = yes\n\n[beam]\npump_waist_um = 30\nprobe_waist_um = 15\nn_shells = 2\n"
@@ -243,6 +251,80 @@ def test_boolean_parsing(tmp_path):
         load_config(
             write_cfg(tmp_path, COLD_SCAN_P2 + "isolate = maybe\n", name="g.cfg")
         )
+
+
+# every section, one key of each integer kind, without indentation
+FULL_CFG = textwrap.dedent(COLD_SCAN_P2) + (
+    "averaged = yes\n\n[beam]\npump_waist_um = 30\nprobe_waist_um = 15\nn_shells = 2\n"
+)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+# printable ASCII on one line, without the inline comment prefixes
+_VALUE_CHARS = "".join(c for c in string.printable if c not in "\r\n\x0b\x0c#;")
+
+
+def _load_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return load_config(str(path))
+
+
+def _with_line(section, line):
+    return FULL_CFG.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word=st.sampled_from(sorted(_BOOL_WORDS)),
+    upper=st.lists(st.booleans(), min_size=5, max_size=5),
+    pads=st.tuples(st.text(" \t", max_size=3), st.text(" \t", max_size=3)),
+    other=st.text(_VALUE_CHARS, max_size=10),
+)
+def test_booleans_any_case_and_padding_and_nothing_else(tmp_path_factory, word, upper, pads, other):
+    path = tmp_path_factory.getbasetemp() / "bool.cfg"
+    cased = "".join(c.upper() if up else c for c, up in zip(word, upper))
+    value = pads[0] + cased + pads[1]
+    assert _load_text(path, _with_line("scan", f"isolate = {value}")).scan.isolate is _BOOL_WORDS[word]
+    if other.strip().lower() not in _BOOL_WORDS:
+        with pytest.raises(ConfigError, match=re.escape("[scan] isolate:")):
+            _load_text(path, _with_line("scan", f"isolate = {other}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    where=st.sampled_from([("solver", "jmax"), ("scan", "count"), ("beam", "n_shells")]),
+    # a float's repr always has '.', 'e', 'inf' or 'nan'; letters have no digits
+    value=st.one_of(st.floats().map(repr), st.text(string.ascii_letters + ".,+- ", max_size=8)),
+)
+def test_non_integer_counts_name_their_key(tmp_path_factory, where, value):
+    section, key = where
+    path = tmp_path_factory.getbasetemp() / "int.cfg"
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FULL_CFG, count=1, flags=re.M)
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}:")):
+        _load_text(path, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    section=st.sampled_from(sorted(_SECTION_KEYS)),
+    key=st.tuples(
+        st.sampled_from(string.ascii_lowercase),
+        st.text(string.ascii_lowercase + string.digits + "_", max_size=15),
+    ).map("".join),
+)
+def test_unknown_keys_are_rejected(tmp_path_factory, section, key):
+    assume(key not in _SECTION_KEYS[section])
+    path = tmp_path_factory.getbasetemp() / "key.cfg"
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: unknown key")):
+        _load_text(path, _with_line(section, f"{key} = 1"))
+
+
+def test_full_config_loads_and_takes_percent_literally(tmp_path):
+    loaded = _load_text(tmp_path / "full.cfg", FULL_CFG)
+    assert (loaded.j_max, loaded.scan.count, loaded.beam.n_shells) == (24, 6, 2)
+    text = FULL_CFG.replace("[molecule]\n", "[molecule]\nname = OCS 100%\n")
+    assert _load_text(tmp_path / "pct.cfg", text).molecule.name == "OCS 100%"
+    with pytest.raises(ConfigError, match=re.escape("[scan] isolate:")):
+        _load_text(tmp_path / "pct.cfg", _with_line("scan", "isolate = 50%"))
 
 
 def test_scan_validation(tmp_path):
@@ -587,12 +669,7 @@ def test_scan_threads_do_not_change_bytes(tmp_path, body):
 
 
 def test_opt_writes_one_row_per_delay(tmp_path):
-    body = COLD_SCAN_P2.replace(
-        "axis = p2\n    start = 0.25\n    stop = 1.5\n    count = 6",
-        "axis = dtau\n    start = 0.125\n    stop = 0.125\n    count = 1\n"
-        "    p2_max = 4.0",
-    )
-    cfg = write_cfg(tmp_path, body)
+    cfg = write_cfg(tmp_path, COLD_OPT)
     out = tmp_path / "opt"
     assert cli.main(["opt", "--config", cfg, "--out-dir", str(out)]) == 0
     _, header, rows = read_csv(out / "optimal_p2.csv")
@@ -601,6 +678,32 @@ def test_opt_writes_one_row_per_delay(tmp_path):
     p2_opt = float(rows[0][1])
     assert 0.0 < p2_opt < 4.0
     assert float(rows[0][2]) > 0.0
+
+
+def test_opt_manifest_reports_the_basis_a_bracket_extension_grew(tmp_path):
+    # at 296 K the search's p2_max of 2 needs j_max 84; its maximum lies
+    # beyond, and the two bracket extensions grow the basis to 88 and 92
+    cfg = write_cfg(
+        tmp_path,
+        """\
+        [molecule]
+        preset = OCS
+
+        [pulses]
+        p1_kick = 1.0
+        dtau_frac = 0.125
+
+        [scan]
+        axis = dtau
+        start = 0.125
+        stop = 0.125
+        count = 1
+        p2_max = 2.0
+        """,
+    )
+    out = tmp_path / "opt"
+    assert cli.main(["opt", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert RunManifest.load(out / "manifest.json").parameters["j_max"] == 92
 
 
 def test_opt_rejects_p2_axis(tmp_path):
@@ -709,6 +812,27 @@ def test_version_via_module_and_script():
         capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
     assert got.stdout.strip().startswith("rotecho ")
+
+
+def test_simulate_and_opt_load_no_scipy(tmp_path):
+    # scipy is imported only by the fits, the master-curve check and the
+    # focal quadrature; a child interpreter starts with no module loaded
+    sim = write_cfg(tmp_path, COLD_SIM, name="sim.cfg")
+    opt = write_cfg(tmp_path, COLD_OPT, name="opt.cfg")
+    script = (
+        "import json, sys\n"
+        "from rotecho import cli\n"
+        f"assert cli.main(['simulate', '--config', {sim!r}, '--out-dir', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert cli.main(['opt', '--config', {opt!r}, '--out-dir', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    got = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_CHILD_ENV,
+    )
+    loaded = json.loads(got.stdout.splitlines()[-1])
+    assert (tmp_path / "s" / "trace.csv").exists() and (tmp_path / "o" / "optimal_p2.csv").exists()
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.constants")
+    assert [m for m in loaded if m.startswith(heavy)] == []
 
 
 @pytest.mark.skipif(
