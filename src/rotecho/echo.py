@@ -16,12 +16,14 @@ traces by default (``isolate=True``), which removes every
 delay-independent term and leaves the rephased transient on a flat
 baseline; pass ``isolate=False`` to measure the raw trace instead.
 ``extract_secho`` itself never simulates anything and measures whatever
-trace it is handed.  The optimum search, averaged scans and
-``run_isolated_echo`` run impulsive points through propagate's amplitude
-kernel, scans evaluating only the extraction window.  The density-matrix
-path (``run_pulse_sequence``) is the reference; it runs gaussian pulses
-and the plain ``scan_dtau`` / ``scan_p2`` scans, whose calls into it the
-benchmark's layer trace counts.
+trace it is handed.  One evaluator serves every scan and the optimum
+search: each quadrature node's window samples, summed in fixed node order
+and measured once.  Scans run node-major, so an averaged scan builds each
+shell's first pulse once.  Impulsive points of the search, averaged scans
+and ``run_isolated_echo`` take propagate's amplitude kernel; the reference
+density-matrix path (``run_pulse_sequence``) runs gaussian pulses and the
+plain scans.  scipy loads only for a sin**2 fit past its lobe checks, the
+decay fit and ``master_curve_check``.
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -347,34 +349,35 @@ def _point_config(
 _PLAIN_NODES = ((1.0, 1.0),)
 
 
-def _echo_point(
-    base: ExperimentConfig,
-    p1_kick: float,
-    p2_kick: float,
-    dtau: float,
-    nodes,
-    halfwidth: float | None,
-    isolate: bool,
-    kernel: bool,
-    basis: RotorBasis,
-    first_pulse_cache: dict,
-) -> EchoMeasurement:
-    """Echo amplitude at one (p1, p2, dtau): the evaluator behind every scan.
-
-    Each (intensity fraction, weight) node runs the experiment with both
-    kicks scaled by its fraction; the weighted sum of the node traces is
-    measured once, at the nominal kicks.
-    """
+def _window(base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, halfwidth) -> tuple:
+    """(nominal config, sample times, mask of the window extract_secho reads, halfwidth)."""
     w_eff = echo_window_halfwidth(dtau, base.molecule, halfwidth)
     nominal = _point_config(base, p1_kick, p2_kick, dtau)
-    # the same window extract_secho reads; every node shares the grid
     times = _sample_times(nominal)
-    select = (times >= 2.0 * dtau - w_eff) & (times <= 2.0 * dtau + w_eff)
+    return nominal, times, (times >= 2.0 * dtau - w_eff) & (times <= 2.0 * dtau + w_eff), w_eff
+
+
+def _node_values(
+    base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, fraction: float,
+    halfwidth: float | None, isolate: bool, kernel: bool, basis: RotorBasis, first_pulse_cache: dict,
+) -> np.ndarray:
+    """The evaluator's first step: one node's window samples at one point,
+    both kicks scaled by its intensity fraction, on the nominal grid."""
+    select = _window(base, p1_kick, p2_kick, dtau, halfwidth)[2]
+    cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
+    return _trace_values(cfg, basis, first_pulse_cache, isolate, select, kernel)
+
+
+def _echo_point(
+    base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, nodes,
+    halfwidth: float | None, node_values,
+) -> EchoMeasurement:
+    """The evaluator's second step: the weighted sum of the nodes' window
+    samples, given in node order, measured once at the nominal kicks."""
+    nominal, times, select, w_eff = _window(base, p1_kick, p2_kick, dtau, halfwidth)
     acc = None
     # fixed node order keeps the reduction bit-stable across runs
-    for fraction, weight in nodes:
-        cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
-        values = _trace_values(cfg, basis, first_pulse_cache, isolate, select, kernel)
+    for (_, weight), values in zip(nodes, node_values, strict=True):
         acc = weight * values if acc is None else acc + weight * values
     # samples outside the window are never evaluated
     values = np.full(times.shape, np.nan)
@@ -382,14 +385,12 @@ def _echo_point(
     return extract_secho(AlignmentTrace(times=times, values=values, config=nominal), dtau, w_eff)
 
 
-def _scan_point(task: tuple, basis: RotorBasis, cache: dict) -> EchoMeasurement | tuple[float, str]:
-    """One scan task (axis value, then _echo_point's leading arguments);
-    a window or tolerance problem comes back as (axis value, message)."""
-    axis_value, *args = task
+def _node_task(task: tuple, basis: RotorBasis, cache: dict) -> np.ndarray | str:
+    """_node_values of one task; a window or tolerance problem comes back as its message."""
     try:
-        return _echo_point(*args, basis, cache)
+        return _node_values(*task, basis, cache)
     except (WindowError, ToleranceError) as exc:
-        return (axis_value, str(exc))
+        return str(exc)
 
 
 # A pool worker's basis and first-pulse cache, set up when the scan's
@@ -403,8 +404,8 @@ def _init_worker(j_max: int) -> None:
     _worker = (RotorBasis(j_max), {})
 
 
-def _worker_point(task: tuple) -> EchoMeasurement | tuple[float, str]:
-    return _scan_point(task, *_worker)
+def _worker_task(task: tuple) -> np.ndarray | str:
+    return _node_task(task, *_worker)
 
 
 def _scan_jmax(base: ExperimentConfig, points) -> int:
@@ -425,26 +426,39 @@ def _run_scan(
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
     """Scan driver over (axis value, p1, p2, dtau) tasks, serial or pooled.
 
-    Points and failures come back in task order, failures keyed by the
-    scan-axis value.  kernel runs impulsive points through the amplitude
-    kernel instead of the density-matrix path.
+    Nodes run node-major (one first-pulse cache entry per shell); a pool
+    gets whole nodes as chunks if there are at least as many nodes as
+    workers, else single values, and no more workers than chunks.  Points
+    and failures come back in task order, a failure with its axis value
+    and its first failing node's message.  kernel selects the amplitude kernel.
     """
     j_common = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
-    packed = [
-        (ax, base, p1, p2, d, nodes, halfwidth, isolate, kernel) for ax, p1, p2, d in tasks
+    jobs = [
+        (base, p1, p2, d, fraction, halfwidth, isolate, kernel)
+        for fraction, _ in nodes for _, p1, p2, d in tasks
     ]
+    chunk = len(tasks) if len(nodes) >= workers else 1
+    workers = min(workers, len(jobs) // chunk)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(j_common,)
         ) as pool:
-            results = list(pool.map(_worker_point, packed))
+            results = list(pool.map(_worker_task, jobs, chunksize=chunk))
     else:
         if basis is None:
             basis = RotorBasis(j_common)
         cache: dict = {}
-        results = [_scan_point(task, basis, cache) for task in packed]
-    points = [r for r in results if isinstance(r, EchoMeasurement)]
-    failures = [r for r in results if not isinstance(r, EchoMeasurement)]
+        results = [_node_task(job, basis, cache) for job in jobs]
+    out = []
+    for i, (ax, *point) in enumerate(tasks):
+        node_values = results[i :: len(tasks)]
+        failed = [(ax, v) for v in node_values if isinstance(v, str)]
+        try:
+            out.append(failed[0] if failed else _echo_point(base, *point, nodes, halfwidth, node_values))
+        except WindowError as exc:
+            out.append((ax, str(exc)))
+    points = [r for r in out if isinstance(r, EchoMeasurement)]
+    failures = [r for r in out if not isinstance(r, EchoMeasurement)]
     return points, failures
 
 
@@ -549,7 +563,6 @@ def fit_sin2(curve: EchoCurve, lobe_limit: float | None = None) -> Sin2Fit:
     ``lobe_limit`` crops the lobe to kicks <= that value.  Needs at
     least 6 points.  residual = RMS misfit / a.
     """
-    from scipy.optimize import curve_fit
     if curve.scan_axis != "p2_kick":
         raise ValueError("sin2 fit applies to p2 scans")
     x = curve.axis_values()
@@ -571,6 +584,7 @@ def fit_sin2(curve: EchoCurve, lobe_limit: float | None = None) -> Sin2Fit:
     else:
         # Monotone rise: only a*b**2 is well determined (quadratic limit).
         p0 = (4.0 * y_pk, 0.5 / x[-1])
+    from scipy.optimize import curve_fit
 
     def model(p2, a, b):
         return a * np.sin(b * p2) ** 2
@@ -629,10 +643,9 @@ def find_optimal_p2(
     cache: dict = {}
 
     def measure(p2: float) -> float:
-        return _echo_point(
-            base_config, p1_kick, float(p2), dtau, _PLAIN_NODES,
-            window_halfwidth, isolate, True, basis, cache,
-        ).s_echo
+        args = (base_config, p1_kick, float(p2), dtau)
+        values = _node_values(*args, 1.0, window_halfwidth, isolate, True, basis, cache)
+        return _echo_point(*args, _PLAIN_NODES, window_halfwidth, [values]).s_echo
 
     # Coarse bracket: first interior maximum of |s|.
     grid = list(np.linspace(sp.p2_max / sp.coarse_points, sp.p2_max, sp.coarse_points))

@@ -15,7 +15,8 @@ one-dimensional quadrature in the local intensity fraction
 u = exp(-2r^2/w_pump^2), distributed as u^(kappa-1) du with
 kappa = (w_pump/w_probe)^2, which Gauss-Jacobi nodes integrate exactly
 for polynomial responses.  Both pulses travel the same path, so one
-fraction scales both kicks.
+fraction scales both kicks.  Scans run shell by shell; the nodes need
+no scipy, which an averaged scan loads only for a sin**2 fit.
 
 Only the transverse profile is modeled.  The crossed-beam geometry
 keeps the interaction length short enough that longitudinal variation
@@ -67,13 +68,13 @@ class BeamGeometry:
 def _gauss_jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and normalized weights for the weight (1+x)^beta on [-1, 1].
 
-    Golub-Welsch on the symmetric recurrence matrix.  The library
+    Golub-Welsch with NumPy's eigh of the dense recurrence matrix (the
+    same bits as scipy's tridiagonal solver for n <= 24).  The library
     routine for these nodes scales its weights by the distribution's
     total mass, computed through gamma functions that overflow once
     beta reaches a few hundred; the probe -> 0 limit needs beta ~ 1e8,
     and normalized weights never need the mass at all.
     """
-    from scipy.linalg import eigh_tridiagonal
     diag = np.empty(n)
     diag[0] = beta / (beta + 2.0)
     if n == 1:
@@ -84,7 +85,8 @@ def _gauss_jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
         4.0 * k * k * (k + beta) ** 2
         / ((2.0 * k + beta) ** 2 * (2.0 * k + beta + 1.0) * (2.0 * k + beta - 1.0))
     )
-    nodes, vectors = eigh_tridiagonal(diag, np.sqrt(off_sq))
+    off = np.sqrt(off_sq)
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = vectors[0] ** 2
     return nodes, weights / np.sum(weights)
 

@@ -815,15 +815,22 @@ def test_version_via_module_and_script():
 
 
 def test_simulate_and_opt_load_no_scipy(tmp_path):
-    # scipy is imported only by the fits, the master-curve check and the
-    # focal quadrature; a child interpreter starts with no module loaded
+    # scipy is imported only by a sin2 fit that passes its lobe checks, the
+    # decay fit and the master-curve check; a child interpreter starts with
+    # no module loaded.  The averaged scan's fit fails on its lobe count.
     sim = write_cfg(tmp_path, COLD_SIM, name="sim.cfg")
     opt = write_cfg(tmp_path, COLD_OPT, name="opt.cfg")
+    avg = write_cfg(
+        tmp_path,
+        COLD_SCAN_AVERAGED.replace("stop = 1.5\n    count = 6", "stop = 14\n    count = 8"),
+        name="avg.cfg",
+    )
     script = (
         "import json, sys\n"
         "from rotecho import cli\n"
         f"assert cli.main(['simulate', '--config', {sim!r}, '--out-dir', {str(tmp_path / 's')!r}]) == 0\n"
         f"assert cli.main(['opt', '--config', {opt!r}, '--out-dir', {str(tmp_path / 'o')!r}]) == 0\n"
+        f"assert cli.main(['scan', '--config', {avg!r}, '--out-dir', {str(tmp_path / 'a')!r}]) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     got = subprocess.run(
@@ -831,6 +838,8 @@ def test_simulate_and_opt_load_no_scipy(tmp_path):
     )
     loaded = json.loads(got.stdout.splitlines()[-1])
     assert (tmp_path / "s" / "trace.csv").exists() and (tmp_path / "o" / "optimal_p2.csv").exists()
+    (note,) = RunManifest.load(tmp_path / "a" / "manifest.json").notes
+    assert note.startswith("sin2 fit: first lobe has")
     heavy = ("scipy.optimize", "scipy.linalg", "scipy.constants")
     assert [m for m in loaded if m.startswith(heavy)] == []
 

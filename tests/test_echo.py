@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rotecho import (
+    BeamGeometry,
     EchoCurve,
     EchoMeasurement,
     FitError,
     MoleculeSpec,
     SearchParams,
     WindowError,
+    averaged_scan_p2,
     dtau_grid,
     echo_window_halfwidth,
     extract_secho,
@@ -26,6 +28,7 @@ from rotecho import (
     scan_p2,
     two_pulse_config,
 )
+from rotecho import echo
 
 # cold ensemble: same spectrum, far fewer levels, so engine-backed
 # tests run in milliseconds
@@ -143,6 +146,27 @@ def test_scan_p2_parallel_matches_serial():
     serial = scan_p2(grid, 0.5, dtau, base, attach_fit=False, workers=1)
     parallel = scan_p2(grid, 0.5, dtau, base, attach_fit=False, workers=2)
     assert np.array_equal(serial.s_values(), parallel.s_values())
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # a pool forks all its workers at the first submit, each building a basis
+    started = []
+
+    class Recording(echo.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", Recording)
+    dtau = 0.125 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau)
+    # one node, two single-value chunks
+    scan_p2([0.3, 0.6], 0.5, dtau, base, attach_fit=False, workers=8)
+    # three nodes against two workers: each node is one chunk
+    averaged_scan_p2([0.3, 0.6, 0.9, 1.0], 0.5, dtau, BeamGeometry(30.0, 15.0, 3), base, workers=2)
+    # one node at one point: a single chunk runs serially
+    averaged_scan_p2([0.3], 0.5, dtau, BeamGeometry(30.0, 15.0, 1), base, workers=3)
+    assert started == [2, 2]
 
 
 def test_pooled_scans_keep_their_first_pulse_traces_apart():
