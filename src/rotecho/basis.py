@@ -240,26 +240,6 @@ class MBlockDensityMatrix:
             )
         )
 
-    def validate(
-        self,
-        trace_tol: float = 1e-9,
-        herm_tol: float = 1e-10,
-        eig_floor: float = -1e-10,
-    ) -> None:
-        """Raise ToleranceError if the state is not a physical density matrix."""
-        from .errors import ToleranceError
-
-        defect = self.hermiticity_defect()
-        if defect > herm_tol:
-            raise ToleranceError(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")
-        tr = self.weighted_trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ToleranceError(f"weighted trace {tr!r} deviates from 1")
-        for m, block in enumerate(self.blocks):
-            lo = float(np.linalg.eigvalsh(block).min())
-            if lo < eig_floor:
-                raise ToleranceError(f"block m={m} has eigenvalue {lo:.3e}")
-
 
 def boltzmann_exponents(molecule: MoleculeSpec, j_values: np.ndarray) -> np.ndarray:
     """E_J/(k_B T) for the given J values (dimensionless)."""

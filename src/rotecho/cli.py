@@ -22,13 +22,13 @@ import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, runio
+from . import __version__, config, runio
 from .basis import RotorBasis, revival_period
-from .config import load_config, molecule_preset
 from .echo import (
     SearchParams,
     _point_config,
@@ -148,52 +148,63 @@ def _canonical_command(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _load(args: argparse.Namespace):
+    """The settings, config digest and experiment (--jmax-override applied)."""
+    settings = config.load_config(args.config)
+    digest = runio.config_digest(args.config)
+    experiment = settings.experiment()
+    if args.jmax_override is not None:
+        experiment = replace(experiment, j_max=args.jmax_override)
+    return settings, digest, experiment
 
 
-def _molecule_label(molecule) -> str:
-    return molecule.name or "custom"
+def _finish(args, timings, digest, molecule, parameters, writers, notes=None) -> Path:
+    """Write a verb's data files and its manifest into --out-dir, and return it.
+
+    ``writers`` maps each data file's name to a (runio writer, data) pair;
+    their time goes into ``timings`` as ``write``.  A run without a
+    molecule (``None``) is labelled n/a.
+    """
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"config_sha256": digest, "command": _canonical_command(args)}
+    t0 = time.perf_counter()
+    for name, (write, data) in writers.items():
+        write(out / name, data, meta)
+    timings["write"] = time.perf_counter() - t0
+    runio.write_manifest(
+        out / "manifest.json",
+        command=meta["command"],
+        parameters=parameters,
+        config_sha256=digest,
+        molecule="n/a" if molecule is None else molecule.name or "custom",
+        outputs=list(writers),
+        timings=timings,
+        notes=notes,
+    )
+    return out
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    settings = load_config(args.config)
-    digest = runio.config_digest(args.config)
-    cfg = settings.experiment()
-    if args.jmax_override is not None:
-        cfg = replace(cfg, j_max=args.jmax_override)
-    t_setup = time.perf_counter() - t0
-
+    settings, digest, cfg = _load(args)
     t1 = time.perf_counter()
     trace = run_two_pulse(cfg)
-    t_run = time.perf_counter() - t1
+    timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
-    out = _out_dir(args)
-    meta = {"config_sha256": digest, "command": _canonical_command(args)}
-    t2 = time.perf_counter()
-    runio.write_trace_csv(out / "trace.csv", trace, meta)
-    runio.write_manifest(
-        out / "manifest.json",
-        command=meta["command"],
-        parameters={
-            "p1_kick": settings.p1_kick,
-            "p2_kick": settings.p2_kick,
-            "dtau_ps": settings.dtau,
-            "shape": settings.shape,
-            "duration_fwhm_ps": settings.duration_fwhm,
-            "j_max": cfg.resolve_j_max(),
-            "dt_sample_ps": cfg.dt_sample,
-            "t_end_ps": cfg.t_end,
-            **({"substeps": cfg.solver.substeps} if settings.shape == "gaussian" else {}),
-        },
-        config_sha256=digest,
-        molecule=_molecule_label(settings.molecule),
-        outputs=["trace.csv"],
-        timings={"setup": t_setup, "run": t_run, "write": time.perf_counter() - t2},
-    )
+    params = {
+        "p1_kick": settings.p1_kick,
+        "p2_kick": settings.p2_kick,
+        "dtau_ps": settings.dtau,
+        "shape": settings.shape,
+        "duration_fwhm_ps": settings.duration_fwhm,
+        "j_max": cfg.resolve_j_max(),
+        "dt_sample_ps": cfg.dt_sample,
+        "t_end_ps": cfg.t_end,
+        **({"substeps": cfg.solver.substeps} if settings.shape == "gaussian" else {}),
+    }
+    out = _finish(args, timings, digest, settings.molecule, params,
+                  {"trace.csv": (runio.write_trace_csv, trace)})
     print(f"wrote {out / 'trace.csv'} ({trace.times.size} samples)")
     return 0
 
@@ -229,22 +240,17 @@ def _scan_parameters(settings, resolved_jmax: int) -> dict:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    settings = load_config(args.config)
-    digest = runio.config_digest(args.config)
+    settings, digest, base = _load(args)
     if settings.scan is None:
         raise ConfigError("the scan command needs a [scan] section in the config")
     scan = settings.scan
     grid = np.asarray(settings.scan_grid())
-    base = settings.experiment()
-    if args.jmax_override is not None:
-        base = replace(base, j_max=args.jmax_override)
     # pin the grid-wide j_max the scan runs at, so the manifest reports it
     p1, p2, dtau = settings.p1_kick, settings.p2_kick, settings.dtau
     points = [(p1, p2, v) if scan.axis == "dtau" else (p1, v, dtau) for v in grid]
     base = replace(base, j_max=_scan_jmax(base, points))
-    t_setup = time.perf_counter() - t0
-
     t1 = time.perf_counter()
+
     options = {
         "window_halfwidth": scan.window_halfwidth,
         "isolate": scan.isolate,
@@ -258,35 +264,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         curve = scan_p2(grid, settings.p1_kick, settings.dtau, base, **options)
-    csv_name = f"scan_{scan.axis}.csv"
-    t_run = time.perf_counter() - t1
+    timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
     fit = curve.fit
-    out = _out_dir(args)
-    meta = {"config_sha256": digest, "command": _canonical_command(args)}
-    t2 = time.perf_counter()
-    runio.write_curve_csv(out / csv_name, curve, meta, averaged=scan.averaged)
-    outputs = [csv_name]
+    csv_name = f"scan_{scan.axis}.csv"
+    writers = {csv_name: (partial(runio.write_curve_csv, averaged=scan.averaged), curve)}
     if fit is not None:
-        runio.write_fit_json(out / "fit_sin2.json", fit, meta)
-        outputs.append("fit_sin2.json")
-
+        writers["fit_sin2.json"] = (runio.write_fit_json, fit)
     # a failed sin2 fit is keyed by nan; every other failure is a point
     notes = [
         f"point {val:g}: {msg}" if math.isfinite(val) else msg
         for val, msg in curve.failures
     ]
     n_failed = sum(math.isfinite(val) for val, _ in curve.failures)
-    runio.write_manifest(
-        out / "manifest.json",
-        command=meta["command"],
-        parameters=_scan_parameters(settings, base.resolve_j_max()),
-        config_sha256=digest,
-        molecule=_molecule_label(settings.molecule),
-        outputs=outputs,
-        timings={"setup": t_setup, "run": t_run, "write": time.perf_counter() - t2},
-        notes=notes or None,
-    )
+    params = _scan_parameters(settings, base.resolve_j_max())
+    out = _finish(args, timings, digest, settings.molecule, params, writers, notes)
     line = f"wrote {out / csv_name}: {len(curve)} points"
     if n_failed:
         line += f", {n_failed} failed"
@@ -298,26 +290,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_opt(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    settings = load_config(args.config)
-    digest = runio.config_digest(args.config)
+    settings, digest, base = _load(args)
     if settings.scan is None:
         raise ConfigError("the opt command needs a [scan] section in the config")
     if settings.scan.axis != "dtau":
         raise ConfigError("the opt command sweeps separation; set [scan] axis = dtau")
     scan = settings.scan
     grid = settings.scan_grid()
-    base = settings.experiment()
-    if args.jmax_override is not None:
-        base = replace(base, j_max=args.jmax_override)
     search = SearchParams(p2_max=scan.p2_max)
     # one basis sized for the search ceiling, shared across all delays
     template = _point_config(base, settings.p1_kick, search.p2_max, grid[0])
     basis = RotorBasis(template.resolve_j_max())
-    t_setup = time.perf_counter() - t0
-
     t1 = time.perf_counter()
+
     rows = []
-    grown: list[RotorBasis] = []  # bases a bracket extension built
+    grown: dict[int, RotorBasis] = {}  # bases a bracket extension built, by j_max
     for dtau in grid:
         p2_opt, s_max = find_optimal_p2(
             dtau, settings.p1_kick, base, search,
@@ -327,23 +314,12 @@ def _cmd_opt(args: argparse.Namespace) -> int:
             _grown=grown,
         )
         rows.append((dtau, p2_opt, s_max))
-    t_run = time.perf_counter() - t1
+    timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
-    out = _out_dir(args)
-    meta = {"config_sha256": digest, "command": _canonical_command(args)}
-    t2 = time.perf_counter()
-    runio.write_opt_csv(out / "optimal_p2.csv", rows, meta)
-    params = _scan_parameters(settings, max(b.j_max for b in [basis, *grown]))
+    params = _scan_parameters(settings, max([basis.j_max, *grown]))
     params["p2_max"] = search.p2_max
-    runio.write_manifest(
-        out / "manifest.json",
-        command=meta["command"],
-        parameters=params,
-        config_sha256=digest,
-        molecule=_molecule_label(settings.molecule),
-        outputs=["optimal_p2.csv"],
-        timings={"setup": t_setup, "run": t_run, "write": time.perf_counter() - t2},
-    )
+    out = _finish(args, timings, digest, settings.molecule, params,
+                  {"optimal_p2.csv": (runio.write_opt_csv, rows)})
     print(f"wrote {out / 'optimal_p2.csv'}: {len(rows)} rows")
     return 0
 
@@ -365,12 +341,13 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
         raise ConfigError("give --dtau-ps or --dtau-frac, not both")
     digest = None
     if args.config:
-        settings = load_config(args.config)
+        # the molecule and delay only: no experiment is built or checked
+        settings = config.load_config(args.config)
         digest = runio.config_digest(args.config)
         molecule = settings.molecule
         default_dtau = settings.dtau
     else:
-        molecule = molecule_preset(args.preset)
+        molecule = config.molecule_preset(args.preset)
         default_dtau = 0.125 * revival_period(molecule)
     if args.dtau_ps is not None:
         dtau = args.dtau_ps
@@ -388,32 +365,18 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
     start = start_levels[0] if len(start_levels) == 1 else tuple(start_levels)
 
     paths = enumerate_pathways(start, (target[0], target[1]), j_max=args.jmax_override)
-    t_run = time.perf_counter() - t0
+    timings = {"run": time.perf_counter() - t0}
 
-    out = _out_dir(args)
-    meta = {"command": _canonical_command(args)}
-    if digest:
-        meta["config_sha256"] = digest
-    t2 = time.perf_counter()
-    with open(out / "pathways.csv", "w", encoding="utf-8", newline="\n") as handle:
-        for line in runio.provenance_lines(meta):
-            handle.write(f"# {line}\n")
-        handle.write(pathway_table(paths, dtau, molecule, fmt="csv"))
-    runio.write_manifest(
-        out / "manifest.json",
-        command=meta["command"],
-        parameters={
-            "start": args.start,
-            "target": args.target,
-            "dtau_ps": dtau,
-            "n_pathways": len(paths),
-            "j_max": args.jmax_override,
-        },
-        config_sha256=digest,
-        molecule=_molecule_label(molecule),
-        outputs=["pathways.csv"],
-        timings={"run": t_run, "write": time.perf_counter() - t2},
-    )
+    params = {
+        "start": args.start,
+        "target": args.target,
+        "dtau_ps": dtau,
+        "n_pathways": len(paths),
+        "j_max": args.jmax_override,
+    }
+    table = pathway_table(paths, dtau, molecule, fmt="csv")
+    _finish(args, timings, digest, molecule, params,
+            {"pathways.csv": (runio.write_pathways_csv, table)})
     print(pathway_table(paths, dtau, molecule, fmt="text"))
     delays = predict_constructive_delays(molecule, 3)
     print(
@@ -429,22 +392,11 @@ def _cmd_fit_decay(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     pairs = runio.read_decay_table(args.input)
     fit = fit_decay(pairs)
-    t_run = time.perf_counter() - t0
+    timings = {"run": time.perf_counter() - t0}
 
-    out = _out_dir(args)
-    digest = runio.config_digest(args.input)
-    meta = {"config_sha256": digest, "command": _canonical_command(args)}
-    t2 = time.perf_counter()
-    runio.write_fit_json(out / "decay_fit.json", fit, meta)
-    runio.write_manifest(
-        out / "manifest.json",
-        command=meta["command"],
-        parameters={"input": Path(args.input).name, "n_points": len(pairs)},
-        config_sha256=digest,
-        molecule="n/a",
-        outputs=["decay_fit.json"],
-        timings={"run": t_run, "write": time.perf_counter() - t2},
-    )
+    params = {"input": Path(args.input).name, "n_points": len(pairs)}
+    _finish(args, timings, runio.config_digest(args.input), None, params,
+            {"decay_fit.json": (runio.write_fit_json, fit)})
     line = (
         f"rate = {fit.rate:.6g} per ps of echo time, "
         f"amplitude = {fit.amplitude:.6g}, residual = {fit.residual:.3g}"

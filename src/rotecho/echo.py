@@ -87,10 +87,6 @@ class EchoMeasurement:
     t_min: float
 
     @property
-    def magnitude(self) -> float:
-        return abs(self.s_echo)
-
-    @property
     def sign(self) -> int:
         if self.s_echo == 0.0:
             return 0
@@ -192,29 +188,24 @@ def dtau_grid(
     start: float,
     stop: float,
     count: int,
-    *,
-    exclusion_halfwidth: float | None = None,
-    min_dtau: float | None = None,
 ) -> np.ndarray:
     """Equidistant separations with the quarter-revival zones removed.
 
-    Points within ``exclusion_halfwidth`` (default 0.035*T_rev) of any
-    n*T_rev/4 are dropped, as are points below ``min_dtau`` (default
-    0.02*T_rev), so the returned grid can be shorter than ``count``.
+    Points within EXCLUSION_HALFWIDTH_FRACTION*T_rev of any n*T_rev/4
+    are dropped, as are points below MIN_DTAU_FRACTION*T_rev, so the
+    returned grid can be shorter than ``count``.
     """
     t_rev = revival_period(molecule)
     if not 0.0 < start < stop:
         raise ValueError("need 0 < start < stop")
     if count < 2:
         raise ValueError("need at least two grid points")
-    excl = EXCLUSION_HALFWIDTH_FRACTION * t_rev if exclusion_halfwidth is None else exclusion_halfwidth
-    floor = MIN_DTAU_FRACTION * t_rev if min_dtau is None else min_dtau
     grid = np.linspace(start, stop, count)
-    keep = grid >= floor
+    keep = grid >= MIN_DTAU_FRACTION * t_rev
     # Nearest quarter-revival multiple, n >= 1; separations near zero are
     # governed by the floor and the window guard, not by this zone.
     n_quarters = np.maximum(np.rint(grid / (0.25 * t_rev)), 1.0)
-    keep &= np.abs(grid - n_quarters * 0.25 * t_rev) >= excl
+    keep &= np.abs(grid - n_quarters * 0.25 * t_rev) >= EXCLUSION_HALFWIDTH_FRACTION * t_rev
     out = grid[keep]
     if out.size == 0:
         raise ValueError("no separations survive the exclusion zones")
@@ -496,7 +487,7 @@ def scan_dtau(
 def _p2_scan(
     p2_values, p1_kick: float, dtau: float, base_config: ExperimentConfig, nodes,
     window_halfwidth: float | None, isolate: bool, kernel: bool, attach_fit: bool,
-    lobe_limit: float | None, workers: int, basis: RotorBasis | None,
+    workers: int, basis: RotorBasis | None,
 ) -> EchoCurve:
     """Second-pulse scan over the given quadrature nodes: the body of
     scan_p2 (one plain node, density-matrix path) and of
@@ -513,7 +504,7 @@ def _p2_scan(
     fit = None
     if attach_fit and len(points) >= 6:
         try:
-            fit = fit_sin2(EchoCurve("p2_kick", tuple(points)), lobe_limit)
+            fit = fit_sin2(EchoCurve("p2_kick", tuple(points)))
         except FitError as exc:
             failures.append((math.nan, f"sin2 fit: {exc}"))
     return EchoCurve("p2_kick", tuple(points), fit=fit, failures=tuple(failures))
@@ -528,7 +519,6 @@ def scan_p2(
     window_halfwidth: float | None = None,
     isolate: bool = True,
     attach_fit: bool = True,
-    lobe_limit: float | None = None,
     workers: int = 1,
     basis: RotorBasis | None = None,
 ) -> EchoCurve:
@@ -540,7 +530,7 @@ def scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, _PLAIN_NODES, window_halfwidth,
-        isolate, False, attach_fit, lobe_limit, workers, basis,
+        isolate, False, attach_fit, workers, basis,
     )
 
 
@@ -557,11 +547,10 @@ def _first_lobe_count(s: np.ndarray) -> int:
     return n
 
 
-def fit_sin2(curve: EchoCurve, lobe_limit: float | None = None) -> Sin2Fit:
+def fit_sin2(curve: EchoCurve) -> Sin2Fit:
     """Least-squares a*sin(b*p2)**2 over the first lobe of a p2 scan.
 
-    ``lobe_limit`` crops the lobe to kicks <= that value.  Needs at
-    least 6 points.  residual = RMS misfit / a.
+    Needs at least 6 lobe points.  residual = RMS misfit / a.
     """
     if curve.scan_axis != "p2_kick":
         raise ValueError("sin2 fit applies to p2 scans")
@@ -569,9 +558,6 @@ def fit_sin2(curve: EchoCurve, lobe_limit: float | None = None) -> Sin2Fit:
     y = curve.s_values()
     n_lobe = _first_lobe_count(y)
     x, y = x[:n_lobe], y[:n_lobe]
-    if lobe_limit is not None:
-        keep = x <= lobe_limit
-        x, y = x[keep], y[keep]
     if x.size < 6:
         raise FitError(f"first lobe has {x.size} points; need at least 6")
 
@@ -628,16 +614,18 @@ def find_optimal_p2(
     window_halfwidth: float | None = None,
     isolate: bool = True,
     basis: RotorBasis | None = None,
-    _grown: list[RotorBasis] | None = None,
+    _grown: dict[int, RotorBasis] | None = None,
 ) -> tuple[float, float]:
     """First maximum of |s_echo| along p2: (p2_opt, s_echo there).
 
     Coarse grid over (0, p2_max], extended up to max_extensions times
     while |s| is still rising at the top, then golden-section to
     rel_tol in p2.  The single-pulse backgrounds are cached across
-    evaluations.  A bracket extension that grows the basis appends it to ``_grown``.
+    evaluations.  A bracket extension that grows the basis keeps the grown
+    basis in ``_grown`` by j_max, and later calls given the same dict reuse it.
     """
     sp = search_params or SearchParams()
+    grown = {} if _grown is None else _grown
     if basis is None:
         basis = RotorBasis(_point_config(base_config, p1_kick, sp.p2_max, dtau).resolve_j_max())
     cache: dict = {}
@@ -669,10 +657,10 @@ def find_optimal_p2(
         new = [grid[-1] + step * (i + 1) for i in range(sp.coarse_points // 2)]
         j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
         if j_wider > basis.j_max:
-            basis = RotorBasis(j_wider)
+            if j_wider not in grown:
+                grown[j_wider] = RotorBasis(j_wider)
+            basis = grown[j_wider]
             cache.clear()
-            if _grown is not None:
-                _grown.append(basis)
         grid.extend(new)
         vals.extend(abs(measure(p2)) for p2 in new)
         extensions += 1

@@ -132,7 +132,7 @@ def averaged_scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, intensity_quadrature(geometry),
-        window_halfwidth, isolate, kernel=True, attach_fit=True, lobe_limit=None,
+        window_halfwidth, isolate, kernel=True, attach_fit=True,
         workers=workers, basis=basis,
     )
 

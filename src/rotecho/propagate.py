@@ -46,6 +46,9 @@ TRACE_SAMPLES_PER_REVIVAL = 2048
 # Default trace margin past the echo position, as a fraction of T_rev.
 TRACE_TAIL_FRACTION = 0.06
 
+# Round-off allowed outside [-1/3, 2/3] by AlignmentTrace.validate.
+RANGE_TOL = 1e-12
+
 # Stage fractions (w1, w0, w1) of Yoshida's fourth-order triple jump,
 # Phys. Lett. A 150, 262 (1990); w0 < 0 runs the middle stage backwards.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -195,9 +198,9 @@ class AlignmentTrace:
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
-    def validate(self, iso_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         lo, hi = float(self.values.min()), float(self.values.max())
-        if lo < -1.0 / 3.0 - iso_tol or hi > 2.0 / 3.0 + iso_tol:
+        if lo < -1.0 / 3.0 - RANGE_TOL or hi > 2.0 / 3.0 + RANGE_TOL:
             raise ToleranceError(f"alignment out of [-1/3, 2/3]: [{lo}, {hi}]")
 
     def window(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:

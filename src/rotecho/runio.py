@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import __version__
 from .echo import DecayFit, EchoCurve, Sin2Fit
@@ -49,18 +50,21 @@ def config_digest(path: str) -> str:
 def provenance_lines(meta: dict) -> list[str]:
     lines = [f"rotecho {__version__}"]
     for key in ("config_sha256", "command"):
-        if key in meta:
+        if meta.get(key) is not None:
             lines.append(f"{key}: {meta[key]}")
     return lines
 
 
-def _write_csv(path, meta: dict, columns, rows) -> None:
+def _write_data(path, meta: dict, lines) -> None:
+    """The provenance comment lines, then newline-terminated ``lines``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in provenance_lines(meta):
             handle.write(f"# {line}\n")
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        handle.writelines(lines)
+
+
+def _write_csv(path, meta: dict, columns, rows) -> None:
+    _write_data(path, meta, (",".join(row) + "\n" for row in chain([columns], rows)))
 
 
 def write_trace_csv(path, trace: AlignmentTrace, meta: dict) -> None:
@@ -89,6 +93,11 @@ def write_curve_csv(path, curve: EchoCurve, meta: dict, averaged: bool = False) 
             )
         )
     _write_csv(path, meta, CURVE_COLUMNS, rows)
+
+
+def write_pathways_csv(path, table: str, meta: dict) -> None:
+    """The csv rendering of ``pathways.pathway_table``."""
+    _write_data(path, meta, [table])
 
 
 def write_opt_csv(path, rows, meta: dict) -> None:

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rotecho import (
     ConfigError,
+    RotorBasis,
     available_presets,
     load_config,
     molecule_preset,
@@ -90,6 +91,16 @@ COLD_SCAN_AVERAGED = (
     COLD_SCAN_P2
     + "averaged = yes\n\n[beam]\npump_waist_um = 30\nprobe_waist_um = 15\nn_shells = 2\n"
 )
+
+
+def write_decay_table(tmp_path):
+    """Six peak amplitudes decaying at 8e-3 per ps of echo time."""
+    table = tmp_path / "decay.csv"
+    lines = ["dtau_ps,s_echo_max"]
+    for d in (5.0, 8.0, 11.0, 14.0, 17.0, 20.0):
+        lines.append(f"{d},{0.005 * math.exp(-8e-3 * 2.0 * d)}")
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return table
 
 
 def read_csv(path):
@@ -680,9 +691,18 @@ def test_opt_writes_one_row_per_delay(tmp_path):
     assert float(rows[0][2]) > 0.0
 
 
-def test_opt_manifest_reports_the_basis_a_bracket_extension_grew(tmp_path):
-    # at 296 K the search's p2_max of 2 needs j_max 84; its maximum lies
-    # beyond, and the two bracket extensions grow the basis to 88 and 92
+def test_opt_manifest_reports_the_basis_a_bracket_extension_grew(tmp_path, monkeypatch):
+    # at 296 K the search's p2_max of 2 needs j_max 84; both maxima lie
+    # beyond, and the two bracket extensions grow the basis to 88 and 92.
+    # The second delay reuses the bases the first one grew.
+    built = []
+    init = RotorBasis.__init__
+
+    def recording_init(self, j_max):
+        built.append(j_max)
+        init(self, j_max)
+
+    monkeypatch.setattr(RotorBasis, "__init__", recording_init)
     cfg = write_cfg(
         tmp_path,
         """\
@@ -695,14 +715,16 @@ def test_opt_manifest_reports_the_basis_a_bracket_extension_grew(tmp_path):
 
         [scan]
         axis = dtau
-        start = 0.125
+        start = 0.1
         stop = 0.125
-        count = 1
+        count = 2
         p2_max = 2.0
         """,
     )
     out = tmp_path / "opt"
     assert cli.main(["opt", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert built == [84, 88, 92]
+    assert len(read_csv(out / "optimal_p2.csv")[2]) == 2
     assert RunManifest.load(out / "manifest.json").parameters["j_max"] == 92
 
 
@@ -733,11 +755,7 @@ def test_pathways_verb(tmp_path, capsys):
 
 
 def test_fit_decay_verb(tmp_path, capsys):
-    table = tmp_path / "decay.csv"
-    lines = ["dtau_ps,s_echo_max"]
-    for d in (5.0, 8.0, 11.0, 14.0, 17.0, 20.0):
-        lines.append(f"{d},{0.005 * math.exp(-8e-3 * 2.0 * d)}")
-    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = write_decay_table(tmp_path)
     out = tmp_path / "fit"
     assert cli.main(["fit-decay", "--input", str(table), "--out-dir", str(out)]) == 0
     assert "rate = 0.008" in capsys.readouterr().out
@@ -745,6 +763,36 @@ def test_fit_decay_verb(tmp_path, capsys):
     assert payload["model"] == "amplitude*exp(-rate*t)"
     assert payload["rate_per_ps"] == pytest.approx(8e-3, rel=1e-6)
     assert payload["negative_rate"] is False
+
+
+@pytest.mark.parametrize("verb", ["simulate", "scan", "opt", "pathways", "fit-decay"])
+def test_manifest_names_the_data_files_and_shares_their_command(tmp_path, verb):
+    # every verb writes through one finishing step: the manifest lists
+    # exactly the data files beside it, each file's provenance carries the
+    # manifest's command, and only config-driven engine runs time a setup
+    config_text = {"simulate": COLD_SIM, "scan": COLD_SCAN_P2, "opt": COLD_OPT, "pathways": COLD_SIM}
+    if verb == "fit-decay":
+        argv = ["fit-decay", "--input", str(write_decay_table(tmp_path))]
+    else:
+        argv = [verb, "--config", write_cfg(tmp_path, config_text[verb])]
+    if verb == "pathways":
+        argv += ["--start", "4", "--target", "6,4"]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 0
+
+    manifest = RunManifest.load(out / "manifest.json")
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert set(manifest.outputs) == written
+    for name in written:
+        path = out / name
+        if path.suffix == ".json":
+            lines = json.loads(path.read_text(encoding="utf-8"))["provenance"]
+        else:
+            lines = [c.removeprefix("# ") for c in read_csv(path)[0]]
+        assert [x for x in lines if x.startswith("command: ")] == [f"command: {manifest.command}"]
+        assert f"config_sha256: {manifest.config_sha256}" in lines
+    setup = {"setup"} if verb in ("simulate", "scan", "opt") else set()
+    assert set(manifest.timings_s) == setup | {"run", "write"}
 
 
 # ---------------------------------------------------------------- exit codes
