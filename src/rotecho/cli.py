@@ -67,10 +67,6 @@ def _common_flags(parser, *, config_required: bool = True) -> None:
         help="directory for output files (created if missing)",
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=1, metavar="N",
-        help="worker processes for scan points",
-    )
-    parser.add_argument(
         "--jmax-override", type=int, default=None, metavar="J",
         help="force the rotational basis cutoff",
     )
@@ -92,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="echo amplitude along the configured grid")
     _common_flags(p)
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, metavar="N",
+        help="worker processes for scan points",
+    )
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("opt", help="optimal second kick at each separation")

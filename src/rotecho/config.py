@@ -2,16 +2,18 @@
 
 Sections: [molecule] (preset name and/or explicit constants), [pulses]
 (kicks, delay, shape), [solver] (numerical knobs), and optionally
-[scan] and [beam] for the scanning front end.  Unknown sections or keys
-are rejected rather than ignored, so typos surface as errors with the
-offending section and key named.  Delays may be given in picoseconds
-or as fractions of the revival period, whichever reads better.
+[scan] and [beam] for the scanning front end.  One table, ``_KEYS``,
+gives every key its type and default.  Unknown sections or keys, in a
+run config or a packaged preset, are rejected rather than ignored, so
+typos surface as errors with the offending section and key named.
+Delays may be given in picoseconds or as fractions of the revival
+period, whichever reads better.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .basis import MoleculeSpec, revival_period
@@ -20,44 +22,63 @@ from .errors import ConfigError
 from .focal import BeamGeometry
 from .propagate import ExperimentConfig, SolverOptions, two_pulse_config
 
-_SECTION_KEYS = {
+_REQUIRED = object()  # marks a key that has no default
+
+
+def _boolean(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# section -> key -> (type, default or _REQUIRED), keys in reading order.
+# str.strip reads a word; a None default leaves an absent key to the
+# engine's own default.
+_KEYS = {
     "molecule": {
-        "preset",
-        "name",
-        "b_cm",
-        "delta_alpha",
-        "temperature_k",
-        "weight_even",
-        "weight_odd",
+        "preset": (str.strip, None),
+        "b_cm": (float, None),
+        "delta_alpha": (float, None),
+        "temperature_k": (float, None),
+        "weight_even": (float, None),
+        "weight_odd": (float, None),
+        "name": (str, None),
     },
     "pulses": {
-        "p1_kick",
-        "p2_kick",
-        "dtau_ps",
-        "dtau_frac",
-        "shape",
-        "duration_fwhm_ps",
+        "p1_kick": (float, _REQUIRED),
+        "p2_kick": (float, 0.0),
+        "shape": (str.strip, "impulsive"),
+        "duration_fwhm_ps": (float, 0.1),
+        "dtau_ps": (float, None),
+        "dtau_frac": (float, None),
     },
     "solver": {
-        "jmax",
-        "substeps",
-        "truncation_tol",
-        "dt_sample_ps",
-        "t_end_ps",
+        "jmax": (int, None),
+        "dt_sample_ps": (float, None),
+        "t_end_ps": (float, None),
+        "substeps": (int, None),
+        "truncation_tol": (float, None),
     },
     "scan": {
-        "axis",
-        "start",
-        "stop",
-        "count",
-        "units",
-        "window_halfwidth_ps",
-        "isolate",
-        "averaged",
-        "exclude_quarters",
-        "p2_max",
+        "axis": (str.strip, _REQUIRED),
+        "units": (str.strip, "trev"),
+        "count": (int, _REQUIRED),
+        "start": (float, _REQUIRED),
+        "stop": (float, _REQUIRED),
+        "window_halfwidth_ps": (float, None),
+        "isolate": (_boolean, True),
+        "averaged": (_boolean, False),
+        "exclude_quarters": (_boolean, False),
+        "p2_max": (float, 8.0),
     },
-    "beam": {"pump_waist_um", "probe_waist_um", "n_shells"},
+    "beam": {
+        "pump_waist_um": (float, _REQUIRED),
+        "probe_waist_um": (float, _REQUIRED),
+        "n_shells": (int, 8),
+    },
 }
 
 
@@ -66,23 +87,23 @@ def _fail(section: str, key: str | None, message: str) -> ConfigError:
     return ConfigError(f"{where}: {message}")
 
 
-def _get(section, name: str, key: str, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise _fail(name, key, "required key is missing")
-        return default
-    raw = section[key]
-    try:
-        if cast is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return cast(raw)
-    except ValueError as exc:
-        raise _fail(name, key, str(exc)) from None
+def _read(section, name: str, keys: dict) -> dict:
+    """Typed values of one present section, every key of ``keys`` filled."""
+    stray = sorted(set(section) - set(keys))
+    if stray:
+        raise _fail(name, stray[0], "unknown key")
+    values = {}
+    for key, (cast, default) in keys.items():
+        if key not in section:
+            if default is _REQUIRED:
+                raise _fail(name, key, "required key is missing")
+            values[key] = default
+            continue
+        try:
+            values[key] = cast(section[key])
+        except ValueError as exc:
+            raise _fail(name, key, str(exc)) from None
+    return values
 
 
 def available_presets() -> list[str]:
@@ -93,38 +114,15 @@ def available_presets() -> list[str]:
     )
 
 
-def _molecule_from_section(section, name: str) -> MoleculeSpec:
-    spec = None
-    if "preset" in section:
-        spec = molecule_preset(section["preset"].strip())
-    fields = {
-        "b_cm": float,
-        "delta_alpha": float,
-        "temperature_k": float,
-        "weight_even": float,
-        "weight_odd": float,
-        "name": str,
-    }
-    overrides = {
-        key: _get(section, name, key, cast)
-        for key, cast in fields.items()
-        if key in section
-    }
-    if spec is None:
-        if "b_cm" not in overrides:
-            raise _fail(name, None, "need a preset or at least b_cm")
-        try:
-            return MoleculeSpec(**overrides)
-        except ValueError as exc:
-            raise _fail(name, None, str(exc)) from None
-    if overrides:
-        from dataclasses import replace
-
-        try:
-            return replace(spec, **overrides)
-        except ValueError as exc:
-            raise _fail(name, None, str(exc)) from None
-    return spec
+def _molecule_from_section(values: dict, name: str) -> MoleculeSpec:
+    overrides = {k: v for k, v in values.items() if k != "preset" and v is not None}
+    if values["preset"] is None and "b_cm" not in overrides:
+        raise _fail(name, None, "need a preset or at least b_cm")
+    spec = None if values["preset"] is None else molecule_preset(values["preset"])
+    try:
+        return MoleculeSpec(**overrides) if spec is None else replace(spec, **overrides)
+    except ValueError as exc:
+        raise _fail(name, None, str(exc)) from None
 
 
 def molecule_preset(preset: str) -> MoleculeSpec:
@@ -141,7 +139,8 @@ def molecule_preset(preset: str) -> MoleculeSpec:
     parser.read_string(text, source=f"preset {preset}")
     if not parser.has_section("molecule"):
         raise ConfigError(f"preset {preset!r} lacks a [molecule] section")
-    return _molecule_from_section(parser["molecule"], f"preset {preset}")
+    name = f"preset {preset}"
+    return _molecule_from_section(_read(parser["molecule"], name, _KEYS["molecule"]), name)
 
 
 @dataclass(frozen=True)
@@ -228,84 +227,52 @@ def load_config(path: str) -> RunSettings:
         raise ConfigError(str(exc)) from None
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        stray = set(parser[section]) - _SECTION_KEYS[section]
-        if stray:
-            raise _fail(section, sorted(stray)[0], "unknown key")
+    sections = {
+        name: _read(parser[name], name, keys) for name, keys in _KEYS.items() if name in parser
+    }
 
-    if not parser.has_section("molecule"):
+    if "molecule" not in sections:
         raise ConfigError(f"{path}: missing [molecule] section")
-    molecule = _molecule_from_section(parser["molecule"], "molecule")
+    molecule = _molecule_from_section(sections["molecule"], "molecule")
 
-    if not parser.has_section("pulses"):
+    if "pulses" not in sections:
         raise ConfigError(f"{path}: missing [pulses] section")
-    pulses = parser["pulses"]
-    p1_kick = _get(pulses, "pulses", "p1_kick", float, required=True)
-    p2_kick = _get(pulses, "pulses", "p2_kick", float, default=0.0)
-    shape = _get(pulses, "pulses", "shape", str, default="impulsive").strip()
-    duration = _get(pulses, "pulses", "duration_fwhm_ps", float, default=0.1)
-    if p1_kick < 0.0 or p2_kick < 0.0:
+    pulses = sections["pulses"]
+    if pulses["p1_kick"] < 0.0 or pulses["p2_kick"] < 0.0:
         raise _fail("pulses", None, "kick strengths must be non-negative")
-    if shape not in ("impulsive", "gaussian"):
-        raise _fail("pulses", "shape", f"must be impulsive or gaussian, got {shape!r}")
-
-    dtau_ps = _get(pulses, "pulses", "dtau_ps", float)
-    dtau_frac = _get(pulses, "pulses", "dtau_frac", float)
+    if pulses["shape"] not in ("impulsive", "gaussian"):
+        raise _fail("pulses", "shape", f"must be impulsive or gaussian, got {pulses['shape']!r}")
+    dtau_ps, dtau_frac = pulses["dtau_ps"], pulses["dtau_frac"]
     if dtau_ps is not None and dtau_frac is not None:
         raise _fail("pulses", None, "give dtau_ps or dtau_frac, not both")
 
-    solver_kw = {}
-    j_max = dt_sample = t_end = None
-    if parser.has_section("solver"):
-        solver = parser["solver"]
-        j_max = _get(solver, "solver", "jmax", int)
-        dt_sample = _get(solver, "solver", "dt_sample_ps", float)
-        t_end = _get(solver, "solver", "t_end_ps", float)
-        substeps = _get(solver, "solver", "substeps", int)
-        tol = _get(solver, "solver", "truncation_tol", float)
-        if substeps is not None:
-            solver_kw["substeps"] = substeps
-        if tol is not None:
-            solver_kw["truncation_tol"] = tol
+    solver = sections.get("solver", {})
     try:
-        solver_opts = SolverOptions(**solver_kw)
+        solver_opts = SolverOptions(
+            **{k: solver[k] for k in ("substeps", "truncation_tol") if solver.get(k) is not None}
+        )
     except ValueError as exc:
         raise _fail("solver", None, str(exc)) from None
 
     scan = None
-    if parser.has_section("scan"):
-        sec = parser["scan"]
-        axis = _get(sec, "scan", "axis", str, required=True).strip()
-        if axis not in ("dtau", "p2"):
-            raise _fail("scan", "axis", f"must be dtau or p2, got {axis!r}")
-        units = _get(sec, "scan", "units", str, default="trev").strip()
-        if axis == "dtau" and units not in ("trev", "ps"):
-            raise _fail("scan", "units", f"must be trev or ps, got {units!r}")
-        count = _get(sec, "scan", "count", int, required=True)
-        if count < 1:
+    if "scan" in sections:
+        values = sections["scan"]
+        if values["axis"] not in ("dtau", "p2"):
+            raise _fail("scan", "axis", f"must be dtau or p2, got {values['axis']!r}")
+        if values["axis"] == "dtau" and values["units"] not in ("trev", "ps"):
+            raise _fail("scan", "units", f"must be trev or ps, got {values['units']!r}")
+        if values["count"] < 1:
             raise _fail("scan", "count", "must be a positive integer")
-        scan = ScanSettings(
-            axis=axis,
-            start=_get(sec, "scan", "start", float, required=True),
-            stop=_get(sec, "scan", "stop", float, required=True),
-            count=count,
-            units=units,
-            window_halfwidth=_get(sec, "scan", "window_halfwidth_ps", float),
-            isolate=_get(sec, "scan", "isolate", bool, default=True),
-            averaged=_get(sec, "scan", "averaged", bool, default=False),
-            exclude_quarters=_get(sec, "scan", "exclude_quarters", bool, default=False),
-            p2_max=_get(sec, "scan", "p2_max", float, default=8.0),
-        )
+        scan = ScanSettings(window_halfwidth=values.pop("window_halfwidth_ps"), **values)
 
     beam = None
-    if parser.has_section("beam"):
-        sec = parser["beam"]
+    if "beam" in sections:
+        values = sections["beam"]
         try:
             beam = BeamGeometry(
-                pump_waist=_get(sec, "beam", "pump_waist_um", float, required=True),
-                probe_waist=_get(sec, "beam", "probe_waist_um", float, required=True),
-                n_shells=_get(sec, "beam", "n_shells", int, default=8),
+                values["pump_waist_um"], values["probe_waist_um"], values["n_shells"]
             )
         except ValueError as exc:
             raise _fail("beam", None, str(exc)) from None
@@ -330,14 +297,14 @@ def load_config(path: str) -> RunSettings:
 
     return RunSettings(
         molecule=molecule,
-        p1_kick=p1_kick,
-        p2_kick=p2_kick,
+        p1_kick=pulses["p1_kick"],
+        p2_kick=pulses["p2_kick"],
         dtau=dtau,
-        shape=shape,
-        duration_fwhm=duration,
-        j_max=j_max,
-        dt_sample=dt_sample,
-        t_end=t_end,
+        shape=pulses["shape"],
+        duration_fwhm=pulses["duration_fwhm_ps"],
+        j_max=solver.get("jmax"),
+        dt_sample=solver.get("dt_sample_ps"),
+        t_end=solver.get("t_end_ps"),
         solver=solver_opts,
         scan=scan,
         beam=beam,

@@ -72,6 +72,11 @@ MIN_DTAU_FRACTION = 0.02
 # Window spans with total swing below this count as flat (no echo).
 FLAT_TRACE_FLOOR = 1e-14
 
+# The optimal-p2 search's coarse grid over (0, p2_max], and how many times
+# it may extend that grid by half its length while |s_echo| still rises.
+COARSE_POINTS = 12
+MAX_EXTENSIONS = 3
+
 _SCAN_AXES = ("dtau", "p2_kick")
 
 
@@ -594,13 +599,11 @@ class SearchParams:
     """Bracket and refinement settings for the optimal-p2 search."""
 
     p2_max: float = 8.0
-    coarse_points: int = 12
     rel_tol: float = 1e-3
-    max_extensions: int = 3
 
     def __post_init__(self) -> None:
-        if self.p2_max <= 0 or self.coarse_points < 4:
-            raise ValueError("need p2_max > 0 and at least 4 coarse points")
+        if self.p2_max <= 0:
+            raise ValueError("p2_max must be positive")
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must be in (0, 1)")
 
@@ -618,7 +621,7 @@ def find_optimal_p2(
 ) -> tuple[float, float]:
     """First maximum of |s_echo| along p2: (p2_opt, s_echo there).
 
-    Coarse grid over (0, p2_max], extended up to max_extensions times
+    Coarse grid over (0, p2_max], extended up to MAX_EXTENSIONS times
     while |s| is still rising at the top, then golden-section to
     rel_tol in p2.  The single-pulse backgrounds are cached across
     evaluations.  A bracket extension that grows the basis keeps the grown
@@ -636,7 +639,7 @@ def find_optimal_p2(
         return _echo_point(*args, _PLAIN_NODES, window_halfwidth, [values]).s_echo
 
     # Coarse bracket: first interior maximum of |s|.
-    grid = list(np.linspace(sp.p2_max / sp.coarse_points, sp.p2_max, sp.coarse_points))
+    grid = list(np.linspace(sp.p2_max / COARSE_POINTS, sp.p2_max, COARSE_POINTS))
     vals = [abs(measure(p2)) for p2 in grid]
     extensions = 0
     while True:
@@ -647,14 +650,14 @@ def find_optimal_p2(
         if k is not None:
             lo, hi = grid[k - 1], grid[k + 1]
             break
-        if extensions >= sp.max_extensions:
+        if extensions >= MAX_EXTENSIONS:
             raise BracketError(
                 f"no interior |s_echo| maximum below p2 = {grid[-1]:.3g} "
                 f"after {extensions} bracket extensions"
             )
         # Rising at the top: extend the grid, growing the basis with it.
         step = grid[1] - grid[0]
-        new = [grid[-1] + step * (i + 1) for i in range(sp.coarse_points // 2)]
+        new = [grid[-1] + step * (i + 1) for i in range(COARSE_POINTS // 2)]
         j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
         if j_wider > basis.j_max:
             if j_wider not in grown:

@@ -49,6 +49,12 @@ TRACE_TAIL_FRACTION = 0.06
 # Round-off allowed outside [-1/3, 2/3] by AlignmentTrace.validate.
 RANGE_TOL = 1e-12
 
+# Half-width of a gaussian pulse's integration window, in sigma.
+WINDOW_SIGMAS = 4.0
+
+# Largest hermiticity defect a state may carry after a pulse.
+HERM_TOL = 1e-10
+
 # Stage fractions (w1, w0, w1) of Yoshida's fourth-order triple jump,
 # Phys. Lett. A 150, 262 (1990); w0 < 0 runs the middle stage backwards.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -91,16 +97,12 @@ class SolverOptions:
     """Numerical knobs for pulse integration and state guards."""
 
     substeps: int = 48             # fourth-order steps (3 stages each) per pulse window
-    window_sigmas: float = 4.0     # half-width of the pulse window, in sigma
     truncation_tol: float = 1e-2   # thermal-population guard at J = j_max
     trace_tol: float = 1e-9        # post-pulse trace-drift guard
-    herm_tol: float = 1e-10        # post-pulse hermiticity guard
 
     def __post_init__(self) -> None:
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
-        if self.window_sigmas <= 0.0:
-            raise ValueError("window_sigmas must be positive")
 
 
 @dataclass(frozen=True)
@@ -284,10 +286,20 @@ def _free_values(spectrum: tuple, t_rel: np.ndarray) -> np.ndarray:
     return dc + 2.0 * osc.real
 
 
-def _pulse_window(pulse: PulseSpec, solver: SolverOptions) -> tuple[float, float]:
+def _piecewise(times: np.ndarray, stages: list) -> np.ndarray:
+    """Alignment minus 1/3 at grid times: isotropic before the first stage,
+    then each (start time, spectrum) stage from its start on."""
+    out = np.full(times.shape, 1.0 / 3.0)
+    starts = [int(np.searchsorted(times, t, side="left")) for t, _ in stages]
+    for (t, spectrum), lo, hi in zip(stages, starts, starts[1:] + [times.size]):
+        out[lo:hi] = _free_values(spectrum, times[lo:hi] - t)
+    return out - 1.0 / 3.0
+
+
+def _pulse_window(pulse: PulseSpec) -> tuple[float, float]:
     if pulse.shape == "impulsive":
         return pulse.t0, pulse.t0
-    half = solver.window_sigmas * pulse.sigma()
+    half = WINDOW_SIGMAS * pulse.sigma()
     return pulse.t0 - half, pulse.t0 + half
 
 
@@ -300,9 +312,9 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
     pulse.kick on any mesh; taus holds the len(alphas) + 1 free flights
     around the kicks, [s_0/2, (s_0 + s_1)/2, .., s_last/2] for stage
     lengths s.  Both are empty for a segment too short to step."""
-    w_start, w_end = _pulse_window(pulse, solver)
+    w_start, w_end = _pulse_window(pulse)
     span, sigma, sq2 = w_end - w_start, pulse.sigma(), math.sqrt(2.0)
-    lo, hi = math.erf(-solver.window_sigmas / sq2), math.erf(solver.window_sigmas / sq2)
+    lo, hi = math.erf(-WINDOW_SIGMAS / sq2), math.erf(WINDOW_SIGMAS / sq2)
 
     def envelope_cdf(t: float) -> float:  # window-normalized: 0 at w_start, 1 at w_end
         return (math.erf((t - pulse.t0) / (sigma * sq2)) - lo) / (hi - lo)
@@ -414,9 +426,9 @@ def _check_drift(trace: float, solver: SolverOptions, defect: float = 0.0) -> No
     drift = abs(trace - 1.0)
     if drift > solver.trace_tol:
         raise ToleranceError(f"trace drift {drift:.3e} exceeds {solver.trace_tol:.1e}")
-    if defect > solver.herm_tol:
+    if defect > HERM_TOL:
         raise ToleranceError(
-            f"hermiticity defect {defect:.3e} exceeds {solver.herm_tol:.1e}"
+            f"hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}"
         )
 
 
@@ -443,38 +455,31 @@ def run_pulse_sequence(
         basis = RotorBasis(config.resolve_j_max())
     rho = thermal_state(config.molecule, basis, solver.truncation_tol)
 
-    times = _sample_times(config)
-    n_samples = times.size
-    values = np.empty(n_samples)
-    ptr = 0
-
-    windows = [_pulse_window(p, solver) for p in config.pulses]
+    windows = [_pulse_window(p) for p in config.pulses]
     for i in range(len(windows) - 1):
         if windows[i][1] > windows[i + 1][0]:
             raise ValueError("pulse windows overlap; increase the delay")
 
+    times = _sample_times(config)
+    stages, inner = [], []
     cursor = min(0.0, windows[0][0])
     for pulse, (w_start, w_end) in zip(config.pulses, windows):
-        k = int(np.searchsorted(times, w_start, side="left"))
-        if k > ptr:
-            values[ptr:k] = _free_values(_coherence_spectrum(rho), times[ptr:k] - cursor)
-            ptr = k
         if w_start > cursor:
             rho = free_evolve(rho, w_start - cursor)
         if pulse.shape == "impulsive":
             rho = impulsive_kick(rho, pulse.kick)
         else:
-            k = int(np.searchsorted(times, w_end, side="left"))
-            inner = times[ptr:k]
-            rho, vals = _apply_gaussian_pulse(rho, pulse, solver, inner)
-            values[ptr:k] = vals
-            ptr = k
+            lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
+            rho, vals = _apply_gaussian_pulse(rho, pulse, solver, times[lo:hi])
+            inner.append((lo, hi, vals))
         _check_drift(rho.weighted_trace(), solver, rho.hermiticity_defect())
+        stages.append((w_end, _coherence_spectrum(rho)))
         cursor = w_end
 
-    if ptr < n_samples:
-        values[ptr:] = _free_values(_coherence_spectrum(rho), times[ptr:] - cursor)
-    return AlignmentTrace(times=times, values=values - 1.0 / 3.0, config=config)
+    values = _piecewise(times, stages)
+    for lo, hi, vals in inner:
+        values[lo:hi] = vals - 1.0 / 3.0
+    return AlignmentTrace(times=times, values=values, config=config)
 
 
 def run_two_pulse(
@@ -534,16 +539,6 @@ def _spectra(thermal: tuple, states, n_states: int, solver: SolverOptions) -> li
     for total in norm:
         _check_drift(total, solver)
     return [(dc[s], amp[s], freqs) for s in range(n_states)]
-
-
-def _piecewise(times: np.ndarray, stages: list) -> np.ndarray:
-    """Alignment minus 1/3 at grid times: isotropic before the first kick,
-    then each (kick time, spectrum) stage from its kick instant on."""
-    out = np.full(times.shape, 1.0 / 3.0)
-    starts = [int(np.searchsorted(times, t, side="left")) for t, _ in stages]
-    for (t, spectrum), lo, hi in zip(stages, starts, starts[1:] + [times.size]):
-        out[lo:hi] = _free_values(spectrum, times[lo:hi] - t)
-    return out - 1.0 / 3.0
 
 
 def _impulsive_values(

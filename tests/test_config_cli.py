@@ -24,11 +24,12 @@ from rotecho import (
     revival_period,
     run_two_pulse,
 )
-from rotecho import cli, runio
-from rotecho.config import _SECTION_KEYS
+from rotecho import cli, config, runio
+from rotecho.config import _KEYS
 from rotecho.runio import RunManifest
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+_README = _PYPROJECT.with_name("README.md")
 # child interpreters import the same source tree as this process, which
 # may have it on sys.path only through pytest's pythonpath setting
 _CHILD_ENV = {
@@ -191,6 +192,14 @@ def test_preset_listing_and_unknown_preset():
         molecule_preset("XYZ")
 
 
+def test_presets_reject_unknown_keys(tmp_path, monkeypatch):
+    (tmp_path / "presets").mkdir()
+    (tmp_path / "presets" / "BAD.cfg").write_text("[molecule]\nb_cm = 0.2\nspin = 1\n")
+    monkeypatch.setattr(config.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ConfigError, match=re.escape("[preset BAD] spin: unknown key")):
+        molecule_preset("BAD")
+
+
 def test_unknown_section_and_key(tmp_path):
     bad_section = write_cfg(
         tmp_path,
@@ -316,17 +325,28 @@ def test_non_integer_counts_name_their_key(tmp_path_factory, where, value):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    section=st.sampled_from(sorted(_SECTION_KEYS)),
+    section=st.sampled_from(sorted(_KEYS)),
     key=st.tuples(
         st.sampled_from(string.ascii_lowercase),
         st.text(string.ascii_lowercase + string.digits + "_", max_size=15),
     ).map("".join),
 )
 def test_unknown_keys_are_rejected(tmp_path_factory, section, key):
-    assume(key not in _SECTION_KEYS[section])
+    assume(key not in _KEYS[section])
     path = tmp_path_factory.getbasetemp() / "key.cfg"
     with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: unknown key")):
         _load_text(path, _with_line(section, f"{key} = 1"))
+
+
+def test_readme_names_exactly_the_config_keys():
+    paragraph = _README.read_text(encoding="utf-8").split("Config sections and keys:")[1]
+    parts = re.split(r"`\[(\w+)\]`", paragraph.split("\n\n")[0])[1:]
+    # keys are words between the section names; parentheses list values
+    named = {
+        section: set(re.findall(r"\w+", re.sub(r"\([^)]*\)", "", body))) - {"or"}
+        for section, body in zip(parts[::2], parts[1::2])
+    }
+    assert named == {section: set(keys) for section, keys in _KEYS.items()}
 
 
 def test_full_config_loads_and_takes_percent_literally(tmp_path):
@@ -351,7 +371,7 @@ def test_scan_validation(tmp_path):
         load_config(
             write_cfg(
                 tmp_path,
-                COLD_SCAN_P2.replace("axis = p2", "axis = dtau\nunits = fs"),
+                COLD_SCAN_P2.replace("axis = p2", "axis = dtau\n    units = fs"),
                 name="i.cfg",
             )
         )
@@ -836,9 +856,19 @@ def test_exit_code_3_for_numerical_failures(tmp_path, capsys):
     assert cli.main(["fit-decay", "--input", str(short), "--out-dir", str(tmp_path)]) == 3
 
 
-def test_unknown_verb_is_a_usage_error():
+def test_unknown_verb_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+    # only scan runs a worker pool, so only scan takes --threads
+    cfg = write_cfg(tmp_path, COLD_OPT)
+    for argv in (
+        ["simulate", "--config", cfg],
+        ["opt", "--config", cfg],
+        ["pathways", "--start", "4", "--target", "6,4", "--dtau-ps", "10"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--out-dir", str(tmp_path), "--threads", "2"])
+        assert exit_info.value.code == 2
 
 
 def test_version_via_module_and_script():

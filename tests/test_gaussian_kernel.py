@@ -22,7 +22,7 @@ from rotecho import (
     run_pulse_sequence,
     thermal_state,
 )
-from rotecho.propagate import _pulse_segments
+from rotecho.propagate import WINDOW_SIGMAS, _pulse_segments
 
 TOL = 1e-12
 
@@ -76,7 +76,7 @@ def test_gaussian_kernel_matches_the_dense_oracle(
     solver = SolverOptions(substeps=substeps, truncation_tol=1.0)
     p1 = PulseSpec(t0=0.5, kick=k1, shape=first)
     p2 = PulseSpec(t0=1.5, kick=k2)
-    dt_sample = 2.0 * solver.window_sigmas * p2.sigma() / samples_per_window
+    dt_sample = 2.0 * WINDOW_SIGMAS * p2.sigma() / samples_per_window
     cfg = ExperimentConfig(mol, (p1, p2), t_end=2.5, dt_sample=dt_sample, j_max=j_max, solver=solver)
     basis = RotorBasis(j_max)
     thermal = thermal_state(mol, basis, 1.0)
