@@ -34,7 +34,9 @@ structure there), so ``dtau_grid`` drops them.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -395,8 +397,34 @@ def _node_task(task: tuple, basis: RotorBasis, cache: dict) -> np.ndarray | str:
 _worker: tuple[RotorBasis, dict] | None = None
 
 
-def _init_worker(j_max: int) -> None:
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy ships without that library.  Cached, so workers forked after
+    a first call look up no symbol of the library again."""
+    import ctypes
+
+    libs = os.path.join(np.__path__[0], os.pardir, "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        blas = ctypes.CDLL(os.path.realpath(os.path.join(libs, name)))
+        get = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+def _init_worker(j_max: int, workers: int) -> None:
+    """Set up a pool worker: its basis, an empty cache, and no more BLAS
+    threads than its share of the cores (never more than it had)."""
     global _worker
+    blas = _openblas_threads()
+    if blas is not None:
+        get, set_threads = blas
+        set_threads(min(get(), max(1, (os.cpu_count() or 1) // workers)))
     _worker = (RotorBasis(j_max), {})
 
 
@@ -436,8 +464,9 @@ def _run_scan(
     chunk = len(tasks) if len(nodes) >= workers else 1
     workers = min(workers, len(jobs) // chunk)
     if workers > 1:
+        _openblas_threads()  # looked up before the workers fork
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(j_common,)
+            max_workers=workers, initializer=_init_worker, initargs=(j_common, workers)
         ) as pool:
             results = list(pool.map(_worker_task, jobs, chunksize=chunk))
     else:
@@ -621,9 +650,10 @@ def find_optimal_p2(
 ) -> tuple[float, float]:
     """First maximum of |s_echo| along p2: (p2_opt, s_echo there).
 
-    Coarse grid over (0, p2_max], extended up to MAX_EXTENSIONS times
-    while |s| is still rising at the top, then golden-section to
-    rel_tol in p2.  The single-pulse backgrounds are cached across
+    Coarse grid over (0, p2_max], evaluated left to right up to the
+    first point that closes an interior maximum and extended up to
+    MAX_EXTENSIONS times while none has, then golden-section to rel_tol
+    in p2.  The single-pulse backgrounds are cached across
     evaluations.  A bracket extension that grows the basis keeps the grown
     basis in ``_grown`` by j_max, and later calls given the same dict reuse it.
     """
@@ -638,35 +668,31 @@ def find_optimal_p2(
         values = _node_values(*args, 1.0, window_halfwidth, isolate, True, basis, cache)
         return _echo_point(*args, _PLAIN_NODES, window_halfwidth, [values]).s_echo
 
-    # Coarse bracket: first interior maximum of |s|.
+    # Coarse bracket, left to right: stop at the first point that closes an
+    # interior maximum of |s|, extending the grid while none has closed.
     grid = list(np.linspace(sp.p2_max / COARSE_POINTS, sp.p2_max, COARSE_POINTS))
-    vals = [abs(measure(p2)) for p2 in grid]
+    vals: list[float] = []
     extensions = 0
-    while True:
-        k = next(
-            (i for i in range(1, len(vals) - 1) if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]),
-            None,
-        )
-        if k is not None:
-            lo, hi = grid[k - 1], grid[k + 1]
-            break
-        if extensions >= MAX_EXTENSIONS:
-            raise BracketError(
-                f"no interior |s_echo| maximum below p2 = {grid[-1]:.3g} "
-                f"after {extensions} bracket extensions"
-            )
-        # Rising at the top: extend the grid, growing the basis with it.
-        step = grid[1] - grid[0]
-        new = [grid[-1] + step * (i + 1) for i in range(COARSE_POINTS // 2)]
-        j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
-        if j_wider > basis.j_max:
-            if j_wider not in grown:
-                grown[j_wider] = RotorBasis(j_wider)
-            basis = grown[j_wider]
-            cache.clear()
-        grid.extend(new)
-        vals.extend(abs(measure(p2)) for p2 in new)
-        extensions += 1
+    while len(vals) < 3 or not vals[-2] >= vals[-3] or not vals[-2] >= vals[-1]:
+        if len(vals) == len(grid):
+            if extensions >= MAX_EXTENSIONS:
+                raise BracketError(
+                    f"no interior |s_echo| maximum below p2 = {grid[-1]:.3g} "
+                    f"after {extensions} bracket extensions"
+                )
+            # No maximum on the grid: extend it, growing the basis with it.
+            step = grid[1] - grid[0]
+            new = [grid[-1] + step * (i + 1) for i in range(COARSE_POINTS // 2)]
+            j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
+            if j_wider > basis.j_max:
+                if j_wider not in grown:
+                    grown[j_wider] = RotorBasis(j_wider)
+                basis = grown[j_wider]
+                cache.clear()
+            grid.extend(new)
+            extensions += 1
+        vals.append(abs(measure(grid[len(vals)])))
+    lo, hi = grid[len(vals) - 3], grid[len(vals) - 1]
 
     # Golden-section maximization of |s| on [lo, hi].
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

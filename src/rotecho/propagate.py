@@ -16,11 +16,15 @@ applies U = exp(i*kick*cos^2 theta) in one step.
 This density-matrix path is the reference.  The optimum search,
 averaged scans and isolated echoes of impulsive configs run the
 amplitude kernel at the end of the module, which kicks the thermal
-columns W = sqrt(p) of rho = W W^dagger per (m, J-parity) half-block.
+columns W = sqrt(p) of rho = W W^dagger of the (m, J-parity) half-blocks.
+Halves of one shape are stacked, so each kick is one batched product per
+group, and their shares of a spectrum are summed in (m, h) order, which
+keeps the bits a loop over single halves gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -506,36 +510,57 @@ def _rotate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
-    """(halves, coherence frequencies).  A half is (first J, g * cos^2
-    diagonal, g * Delta-J = 2 elements, degeneracy g, eigenvalues, V, level
-    frequencies, V^T W) with W = sqrt(p) on its populated levels, if any."""
+    """(groups, spectrum index of each Delta-J = 2 element, coherence
+    frequencies) of the thermal state.
+
+    A half is one (m, J-parity) block with populated levels.  Taken in
+    (m, h) order, each run of halves with equal (rows, populated columns)
+    shape is stacked into one group: at j_max = 120 the 241 halves make 61
+    groups of at most 4.  A group is (g * cos^2 diagonal, g * Delta-J = 2
+    elements, degeneracy g, eigenvalues, V, level frequencies, V^T W), each
+    with a leading half axis, W = sqrt(p) on the populated levels; it holds
+    the only stacked copy of them.  The element indices follow the halves'
+    (m, h) order, which the groups keep."""
     p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
     omegas = basis.omegas(config.molecule)
-    halves = []
-    for m in range(basis.j_max + 1):
-        g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
-        for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
-            pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
-            if cols.size:
-                vt_w = v.T[:, cols] * np.sqrt(pop[cols])
-                halves.append((m + h, g * c.diagonal()[h::2], g * c.diagonal(2)[h::2], g,
-                               lam, v, omegas[m + h :: 2], vt_w))
-    return halves, omegas[2:] - omegas[:-2]
+
+    def halves():  # stacked run by run, so one run's copies are alive at a time
+        for m in range(basis.j_max + 1):
+            g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
+            for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
+                pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
+                if cols.size:
+                    yield (m + h, g * c.diagonal()[h::2], g * c.diagonal(2)[h::2], g,
+                           lam, v, omegas[m + h :: 2], v.T[:, cols] * np.sqrt(pop[cols]))
+
+    runs = itertools.groupby(halves(), key=lambda half: half[-1].shape)
+    groups = [tuple(np.array(a) for a in zip(*run)) for _, run in runs]
+    targets = np.concatenate(
+        [(j0[:, None] + np.arange(0, 2 * gco.shape[1], 2)).ravel() for j0, _, gco, *_ in groups]
+    )
+    return [group[1:] for group in groups], targets, omegas[2:] - omegas[:-2]
 
 
 def _spectra(thermal: tuple, states, n_states: int, solver: SolverOptions) -> list:
     """(dc, amp, freqs) of n_states states, as _coherence_spectrum gives
-    them; states holds one (rows, n_states * columns) amplitude array per
-    half, reduced at once to row dot products.  Checks each weighted norm."""
-    halves, freqs = thermal
-    dc, norm = np.zeros(n_states), np.zeros(n_states)
-    amp = np.zeros((n_states, freqs.size), dtype=complex)
-    for (j0, gcd, gco, g, *_), z in zip(halves, states):
-        z = z.reshape(z.shape[0], n_states, -1)
-        pop = np.einsum("isj,isj->is", z.view(np.float64), z.view(np.float64))
-        dc += gcd @ pop
-        norm += g * pop.sum(axis=0)
-        amp[:, j0 : j0 + 2 * gco.size : 2] += np.einsum("isj,isj->si", z[:-1], z[1:].conj()) * gco
+    them; states holds one (halves, rows, n_states * columns) amplitude
+    array per group, reduced at once to row dot products.  The halves'
+    shares are then added one after another in (m, h) order, the order that
+    fixes the bits of each sum.  Checks each weighted norm."""
+    groups, targets, freqs = thermal
+    dc, norm, coh = [], [], []
+    for (gcd, gco, g, *_), z in zip(groups, states):
+        z = z.reshape(*z.shape[:2], n_states, -1)
+        pop = np.einsum("gisj,gisj->gis", z.view(np.float64), z.view(np.float64))
+        dc.append((gcd[:, None, :] @ pop)[:, 0])
+        norm.append(g[:, None] * pop.sum(axis=1))
+        amp = np.einsum("gisj,gisj->gsi", z[:, :-1], z[:, 1:].conj()) * gco[:, None, :]
+        coh.append(amp.transpose(1, 0, 2).reshape(n_states, -1))
+    # cumsum and add.at add in index order, one half after another
+    dc, norm = (np.cumsum(np.concatenate(a), axis=0)[-1] for a in (dc, norm))
+    coh, amp = np.concatenate(coh, axis=1), np.zeros((n_states, freqs.size), dtype=complex)
+    for s in range(n_states):
+        np.add.at(amp[s], targets, coh[s])
     for total in norm:
         _check_drift(total, solver)
     return [(dc[s], amp[s], freqs) for s in range(n_states)]
@@ -547,34 +572,56 @@ def _impulsive_values(
     """An impulsive two-pulse config's trace at times on its grid, minus
     both single-pulse traces when isolate, in run_pulse_sequence's form.
 
-    cache keeps the thermal halves and one first-pulse entry: the post-kick-1
-    spectrum and, per half, Y = [V^T F(dtau) W_1 | V^T W] with F the free
-    phases.  The second kick then costs one product V @ (exp(i*kick*lambda)
-    * Y) per half for the two-pulse and second-pulse-only amplitudes."""
+    cache keeps the thermal groups and one first-pulse entry: the
+    post-kick-1 spectrum and, per group, X = V^T F(dtau) W_1 with F the free
+    phases.  With the entry go the pieces of the last window it served that
+    no second kick changes: the trace up to the second kick, the
+    first-pulse-only trace and exp(i*outer(t - t_b, freqs)).  The second
+    kick then costs one batched product V @ (exp(i*kick*lambda) *
+    [X | V^T W]) per group for the two-pulse and second-pulse-only
+    amplitudes, and one matrix-vector product per amplitude."""
     (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
+    dtau = t_b - t_a
     if "thermal" not in cache:
         cache["thermal"] = _thermal_halves(config, basis)
     thermal = cache["thermal"]
-    if cache.get("first", (None,))[0] != (k1, t_b - t_a):
-        cache.pop("first", None)  # free the old entry before building the new one
-        ys = []
+    groups = thermal[0]
+    if cache.get("first", (None,))[0] != (k1, dtau):
+        for entry in ("first", "window"):  # free the old entry before building the new one
+            cache.pop(entry, None)
+        xs = []
 
-        def first_kick():  # one half's W_1 alive at a time
-            for *_, lam, v, om, vt_w in thermal[0]:
-                w1 = _rotate(v, np.exp(1j * k1 * lam)[:, None] * vt_w)
-                x = _rotate(v.T, np.exp(-1j * (t_b - t_a) * om)[:, None] * w1)
-                ys.append(np.concatenate([x, vt_w], axis=1))
+        def first_kick():  # one group's W_1 alive at a time
+            for *_, lam, v, om, vt_w in groups:
+                w1 = _rotate(v, np.exp(1j * k1 * lam)[..., None] * vt_w)
+                xs.append(_rotate(v.transpose(0, 2, 1), np.exp(-1j * dtau * om)[..., None] * w1))
                 yield w1
 
-        cache["first"] = ((k1, t_b - t_a), *_spectra(thermal, first_kick(), 1, config.solver), ys)
-    _, s1, ys = cache["first"]
+        s1 = _spectra(thermal, first_kick(), 1, config.solver)[0]
+        cache["first"] = ((k1, dtau), s1, xs)
+    _, s1, xs = cache["first"]
+    window = (t_a, t_b, isolate, times.tobytes())
+    if cache.get("window", (None,))[0] != window:
+        lo_a, lo_b = (int(np.searchsorted(times, t, side="left")) for t in (t_a, t_b))
+        head = np.full(lo_b, 1.0 / 3.0)
+        head[lo_a:] = _free_values(s1, times[lo_a:lo_b] - t_a)
+        phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
+        cache["window"] = (window, head, phases, _piecewise(times, [(t_a, s1)]) if isolate else None)
+    _, head, phases, only_1 = cache["window"]
+
+    def trace(spectrum, before: np.ndarray) -> np.ndarray:
+        """_piecewise's values: before, then spectrum from the second kick on."""
+        dc, amp, _ = spectrum
+        return np.concatenate([before, dc + 2.0 * (phases @ amp).real]) - 1.0 / 3.0
+
     n = 2 if isolate else 1
     second_kick = (
-        _rotate(v, np.exp(1j * k2 * lam)[:, None] * y[:, : n * vt_w.shape[1]])
-        for (*_, lam, v, _, vt_w), y in zip(thermal[0], ys)
+        _rotate(v, np.exp(1j * k2 * lam)[..., None]
+                * (np.concatenate([x, vt_w], axis=2) if isolate else x))
+        for (*_, lam, v, _, vt_w), x in zip(groups, xs)
     )
     s12, *s2 = _spectra(thermal, second_kick, n, config.solver)
-    full = _piecewise(times, [(t_a, s1), (t_b, s12)])
+    full = trace(s12, head)
     if not isolate:
         return full
-    return full - _piecewise(times, [(t_a, s1)]) - _piecewise(times, [(t_b, s2[0])])
+    return full - only_1 - trace(s2[0], np.full(head.size, 1.0 / 3.0))

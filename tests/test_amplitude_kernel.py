@@ -26,8 +26,9 @@ from rotecho import (
     scan_p2,
     two_pulse_config,
 )
+from rotecho.basis import MBlockDensityMatrix, _thermal_populations
 from rotecho.echo import _trace_values
-from rotecho.propagate import _sample_times
+from rotecho.propagate import _impulsive_values, _piecewise, _rotate, _sample_times
 
 TOL = 1e-12
 
@@ -107,3 +108,64 @@ def test_trace_drift_guard_covers_impulsive_runs():
         assert len(curve) == 0
         assert [v for v, _ in curve.failures] == [1.0]
         assert curve.failures[0][1].startswith("trace drift")
+
+
+def _per_half_values(config, basis, isolate, times):
+    """The kernel as one loop over the (m, J-parity) halves in (m, h) order,
+    each half kicked and reduced on its own: the bits the grouped kernel
+    must keep."""
+    (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
+    p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
+    omegas = basis.omegas(config.molecule)
+    n = 2 if isolate else 1
+    dc, amp = np.zeros(n + 1), np.zeros((n + 1, basis.j_max - 1), dtype=complex)
+    for m in range(basis.j_max + 1):
+        g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
+        for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
+            pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
+            if not cols.size:
+                continue
+            vt_w = v.T[:, cols] * np.sqrt(pop[cols])
+            w1 = _rotate(v, np.exp(1j * k1 * lam)[:, None] * vt_w)
+            x = _rotate(v.T, np.exp(-1j * (t_b - t_a) * omegas[m + h :: 2])[:, None] * w1)
+            y = np.concatenate([x, vt_w], axis=1)[:, : n * cols.size]
+            z2 = _rotate(v, np.exp(1j * k2 * lam)[:, None] * y)
+            gcd, gco = g * c.diagonal()[h::2], g * c.diagonal(2)[h::2]
+            for s, z in ((slice(0, 1), w1), (slice(1, n + 1), z2)):
+                z = z.reshape(z.shape[0], -1, cols.size)
+                pop_z = np.einsum("isj,isj->is", z.view(np.float64), z.view(np.float64))
+                dc[s] += gcd @ pop_z
+                coh = np.einsum("isj,isj->si", z[:-1], z[1:].conj()) * gco
+                amp[s, m + h : m + h + 2 * gco.size : 2] += coh
+    s1, s12, *s2 = ((dc[s], amp[s], omegas[2:] - omegas[:-2]) for s in range(n + 1))
+    full = _piecewise(times, [(t_a, s1), (t_b, s12)])
+    if not isolate:
+        return full
+    return full - _piecewise(times, [(t_a, s1)]) - _piecewise(times, [(t_b, s2[0])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    temperature=st.sampled_from([0.0, 30.0, 296.0]),
+    weights=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]),
+    j_max=st.integers(2, 40),
+    p1=kicks,
+    dtau_fracs=st.lists(st.floats(0.03, 0.45), min_size=1, max_size=2),
+    evaluations=st.lists(st.tuples(kicks, st.booleans(), st.booleans()), min_size=1, max_size=3),
+)
+def test_grouped_kernel_keeps_the_bits_of_the_per_half_loop(
+    temperature, weights, j_max, p1, dtau_fracs, evaluations
+):
+    mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_even=weights[0],
+                       weight_odd=weights[1])
+    basis = RotorBasis(j_max)
+    cache: dict = {}  # one cache across delays, second kicks, windows and isolation
+    for dtau_frac in dtau_fracs:
+        for p2, isolate, window in evaluations:
+            dtau = dtau_frac * revival_period(mol)
+            cfg = two_pulse_config(mol, p1, p2, dtau, j_max=j_max, solver=SolverOptions(truncation_tol=1.0))
+            times = _sample_times(cfg)
+            if window:
+                times = times[np.abs(times - 2.0 * dtau) <= 0.03 * revival_period(mol)]
+            grouped = _impulsive_values(cfg, basis, cache, isolate, times)
+            assert np.array_equal(grouped, _per_half_values(cfg, basis, isolate, times))

@@ -1,0 +1,36 @@
+"""The benchmark's pinned variant-0 data rows, reproduced by in-process CLI calls.
+
+``bench/workloads.py`` writes the configs and ``bench/reference.json``
+holds the sha256 of each output's column header and data rows; a rerun
+must reproduce them byte for byte.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from rotecho import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, s", [("opt_sweep", 4), ("focal_scan", 0)])
+def test_variant0_outputs_match_the_benchmark_fingerprints(tmp_path, workloads, name, s):
+    # the averaged scan runs serially here; pooled runs give the same bytes
+    workload = workloads.WORKLOADS[name]
+    config = tmp_path / "run.cfg"
+    config.write_text(workload.config(0, s), encoding="utf-8")
+    assert cli.main(workload.argv(config, tmp_path / "out", threads=1)) == 0
+    lines, _ = workloads.read_data(tmp_path / "out" / workload.data_file)
+    assert workloads.fingerprint(lines) == workloads.load_reference()[name]["0"][s]["fingerprint"]

@@ -326,3 +326,34 @@ def test_find_optimal_p2_agrees_with_dense_scan():
     i = int(np.argmax(np.abs(dense.s_values())))
     assert abs(p2_opt - dense.axis_values()[i]) < 0.25
     assert s_max >= np.abs(dense.s_values())[i] * 0.999
+
+
+def test_find_optimal_p2_measures_the_coarse_grid_only_up_to_the_bracket(monkeypatch):
+    # every p2 is measured once, and the coarse points are the grid's prefix
+    # that ends at the first point closing an interior maximum of |s|
+    measured, evaluations = [], []
+    node_values, echo_point = echo._node_values, echo._echo_point
+
+    def counting(*args):
+        evaluations.append(args[2])
+        return node_values(*args)
+
+    def recording(base, p1, p2, dtau, *rest):
+        point = echo_point(base, p1, p2, dtau, *rest)
+        measured.append((p2, abs(point.s_echo)))
+        return point
+
+    monkeypatch.setattr(echo, "_node_values", counting)
+    monkeypatch.setattr(echo, "_echo_point", recording)
+    dtau = 0.125 * TREV
+    find_optimal_p2(dtau, 0.5, two_pulse_config(COLD, 0.5, 1.0, dtau), SearchParams(p2_max=8.0))
+    p2s = [p2 for p2, _ in measured]
+    assert evaluations == p2s
+    assert len(set(p2s)) == len(p2s)
+    grid = list(np.linspace(8.0 / echo.COARSE_POINTS, 8.0, echo.COARSE_POINTS))
+    k = next(i for i, p2 in enumerate(p2s) if p2 not in grid) - 2
+    assert p2s[: k + 2] == grid[: k + 2] and k + 2 < len(grid)
+    vals = [v for _, v in measured[: k + 2]]
+    closing = [i for i in range(1, k + 1) if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
+    assert closing == [k]
+    assert all(grid[k - 1] < p2 < grid[k + 1] for p2 in p2s[k + 2 :])

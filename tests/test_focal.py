@@ -1,5 +1,10 @@
 """Focal-volume averaging: quadrature, perturbative law, washout."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +245,32 @@ def test_serial_averaged_scan_builds_each_shell_first_pulse_once(monkeypatch):
     assert len(curve) == 4
     assert states.count(1) == 3
     assert states.count(2) == 3 * 4
+
+
+_POOLED_VS_SERIAL = """
+import os
+from rotecho import BeamGeometry, averaged_scan_p2, molecule_preset, revival_period, two_pulse_config
+from rotecho.echo import _init_worker, _openblas_threads
+ocs = molecule_preset("OCS")
+dtau = revival_period(ocs) / 8.0
+base = two_pulse_config(ocs, 1.0, 3.0, dtau, j_max=100)
+geom = BeamGeometry(30.0, 15.0, n_shells=2)
+serial = averaged_scan_p2([2.0, 3.0], 1.0, dtau, geom, base, workers=1)
+assert averaged_scan_p2([2.0, 3.0], 1.0, dtau, geom, base, workers=2) == serial
+blas = _openblas_threads()
+if blas is not None:
+    before = blas[0]()
+    _init_worker(2, 2)
+    assert blas[0]() == min(before, max(1, os.cpu_count() // 2))
+"""
+
+
+def test_pooled_averaged_scan_equals_serial_without_blas_settings():
+    # the workers pin their own BLAS threads; in a fresh interpreter with no
+    # thread variable set, the serial run keeps the library's default
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", _POOLED_VS_SERIAL], env=env, check=True, timeout=300)
 
 
 def test_averaged_scan_rejects_bad_grid():
