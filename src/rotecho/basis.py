@@ -90,6 +90,19 @@ def revival_period(molecule: MoleculeSpec) -> float:
     return 1.0 / (2.0 * molecule.b_cm * C_CM_PER_PS)
 
 
+def _cos2_diagonal(j, m: int):
+    """<J m|cos^2 theta|J m>, J >= m >= 0 a Python int or an int64 array; int64
+    numerators stay below 2**53 for J < 9000, so both round alike."""
+    num, den = j * (j + 1) - 3 * m * m, (2 * j - 1) * (2 * j + 3)
+    return 1.0 / 3.0 + (2.0 / 3.0) * (num / den)
+
+
+def _cos2_offdiagonal(j, m: int):
+    """<J m|cos^2 theta|J+2 m>, J as in _cos2_diagonal."""
+    num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
+    return np.sqrt(num / ((2 * j + 1) * (2 * j + 5))) / (2 * j + 3)
+
+
 def cos2theta_element(j: int, jp: int, m: int) -> float:
     """Matrix element <J m|cos^2 theta|J' m>.
 
@@ -104,13 +117,9 @@ def cos2theta_element(j: int, jp: int, m: int) -> float:
     if j > jp:
         j, jp = jp, j
     if jp == j:
-        num = j * (j + 1) - 3 * m * m
-        den = (2 * j - 1) * (2 * j + 3)
-        return 1.0 / 3.0 + (2.0 / 3.0) * (num / den)
+        return _cos2_diagonal(j, m)
     if jp == j + 2:
-        num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
-        den = (2 * j + 1) * (2 * j + 5)
-        return math.sqrt(num / den) / (2 * j + 3)
+        return float(_cos2_offdiagonal(j, m))
     return 0.0
 
 
@@ -129,16 +138,10 @@ class RotorBasis:
         self.j_max = int(j_max)
         self._cos2_blocks: list[np.ndarray] = []
         for m in range(self.j_max + 1):
-            # cos2theta_element on int64 J arrays in its operation order; each
-            # numerator is below 2**53 (j_max < 9000), so quotients round alike
             j = np.arange(m, self.j_max + 1, dtype=np.int64)
-            num, den = j * (j + 1) - 3 * m * m, (2 * j - 1) * (2 * j + 3)
-            block = np.diag(1.0 / 3.0 + (2.0 / 3.0) * (num / den))
-            j = j[:-2]
-            num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
-            off = np.sqrt(num / ((2 * j + 1) * (2 * j + 5))) / (2 * j + 3)
-            idx = np.arange(off.size)
-            block[idx, idx + 2] = block[idx + 2, idx] = off
+            block = np.diag(_cos2_diagonal(j, m))
+            idx = np.arange(j.size - 2)
+            block[idx, idx + 2] = block[idx + 2, idx] = _cos2_offdiagonal(j[:-2], m)
             block.setflags(write=False)
             self._cos2_blocks.append(block)
         self._eig_cache: dict[int, tuple] = {}

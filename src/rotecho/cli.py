@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, runio
-from .basis import RotorBasis, revival_period
+from .basis import revival_period
 from .echo import (
     SearchParams,
-    _point_config,
     _scan_jmax,
     find_optimal_p2,
     fit_decay,
@@ -298,25 +297,21 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     scan = settings.scan
     grid = settings.scan_grid()
     search = SearchParams(p2_max=scan.p2_max)
-    # one basis sized for the search ceiling, shared across all delays
-    template = _point_config(base, settings.p1_kick, search.p2_max, grid[0])
-    basis = RotorBasis(template.resolve_j_max())
     t1 = time.perf_counter()
 
     rows = []
-    grown: dict[int, RotorBasis] = {}  # bases a bracket extension built, by j_max
+    bases: dict = {}  # every basis the searches build, by j_max, shared across delays
     for dtau in grid:
         p2_opt, s_max = find_optimal_p2(
             dtau, settings.p1_kick, base, search,
             window_halfwidth=scan.window_halfwidth,
             isolate=scan.isolate,
-            basis=basis,
-            _grown=grown,
+            _bases=bases,
         )
         rows.append((dtau, p2_opt, s_max))
     timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
-    params = _scan_parameters(settings, max([basis.j_max, *grown]))
+    params = _scan_parameters(settings, max(bases))
     params["p2_max"] = search.p2_max
     out = _finish(args, timings, digest, settings.molecule, params,
                   {"optimal_p2.csv": (runio.write_opt_csv, rows)})

@@ -198,13 +198,11 @@ class RunSettings:
             raise ConfigError("this command needs a [scan] section")
         if scan.count < 2 and scan.start != scan.stop:
             raise _fail("scan", "count", "need at least 2 points to span a range")
-        if scan.axis == "p2":
-            step = (scan.stop - scan.start) / max(scan.count - 1, 1)
-            return [scan.start + i * step for i in range(scan.count)]
-        t_rev = revival_period(self.molecule)
-        factor = t_rev if scan.units == "trev" else 1.0
+        delays = scan.axis == "dtau"
+        # kicks and delays in ps scale by exactly 1.0, which keeps their bits
+        factor = revival_period(self.molecule) if delays and scan.units == "trev" else 1.0
         lo, hi = scan.start * factor, scan.stop * factor
-        if scan.exclude_quarters:
+        if delays and scan.exclude_quarters:
             try:
                 grid = dtau_grid(self.molecule, lo, hi, scan.count)
             except ValueError as exc:

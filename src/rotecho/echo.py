@@ -444,7 +444,6 @@ def _run_scan(
     nodes,
     halfwidth: float | None,
     isolate: bool,
-    kernel: bool,
     workers: int,
     basis: RotorBasis | None,
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
@@ -454,8 +453,11 @@ def _run_scan(
     gets whole nodes as chunks if there are at least as many nodes as
     workers, else single values, and no more workers than chunks.  Points
     and failures come back in task order, a failure with its axis value
-    and its first failing node's message.  kernel selects the amplitude kernel.
+    and its first failing node's message.
     """
+    # Plain scans stay on the density-matrix reference path, whose exact
+    # call counts bench/test_bench.py pins; averaged scans take the kernel.
+    kernel = nodes is not _PLAIN_NODES
     j_common = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
     jobs = [
         (base, p1, p2, d, fraction, halfwidth, isolate, kernel)
@@ -513,28 +515,25 @@ def scan_dtau(
         raise ValueError("separations must lie strictly inside (0, T_rev)")
     tasks = [(float(d), p1_kick, p2_kick, float(d)) for d in grid]
     points, failures = _run_scan(
-        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, False, workers, basis
+        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, basis
     )
     return EchoCurve("dtau", tuple(points), fit=None, failures=tuple(failures))
 
 
 def _p2_scan(
     p2_values, p1_kick: float, dtau: float, base_config: ExperimentConfig, nodes,
-    window_halfwidth: float | None, isolate: bool, kernel: bool, attach_fit: bool,
+    window_halfwidth: float | None, isolate: bool, attach_fit: bool,
     workers: int, basis: RotorBasis | None,
 ) -> EchoCurve:
     """Second-pulse scan over the given quadrature nodes: the body of
-    scan_p2 (one plain node, density-matrix path) and of
-    focal.averaged_scan_p2 (amplitude kernel)."""
+    scan_p2 (one plain node) and of focal.averaged_scan_p2."""
     grid = np.sort(np.asarray(p2_values, dtype=float))
     if grid.size == 0:
         raise ValueError("empty kick grid")
     if grid[0] < 0.0:
         raise ValueError("kicks must be non-negative")
     tasks = [(float(p2), p1_kick, float(p2), float(dtau)) for p2 in grid]
-    points, failures = _run_scan(
-        tasks, base_config, nodes, window_halfwidth, isolate, kernel, workers, basis
-    )
+    points, failures = _run_scan(tasks, base_config, nodes, window_halfwidth, isolate, workers, basis)
     fit = None
     if attach_fit and len(points) >= 6:
         try:
@@ -564,7 +563,7 @@ def scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, _PLAIN_NODES, window_halfwidth,
-        isolate, False, attach_fit, workers, basis,
+        isolate, attach_fit, workers, basis,
     )
 
 
@@ -646,7 +645,7 @@ def find_optimal_p2(
     window_halfwidth: float | None = None,
     isolate: bool = True,
     basis: RotorBasis | None = None,
-    _grown: dict[int, RotorBasis] | None = None,
+    _bases: dict[int, RotorBasis] | None = None,
 ) -> tuple[float, float]:
     """First maximum of |s_echo| along p2: (p2_opt, s_echo there).
 
@@ -654,13 +653,23 @@ def find_optimal_p2(
     first point that closes an interior maximum and extended up to
     MAX_EXTENSIONS times while none has, then golden-section to rel_tol
     in p2.  The single-pulse backgrounds are cached across
-    evaluations.  A bracket extension that grows the basis keeps the grown
-    basis in ``_grown`` by j_max, and later calls given the same dict reuse it.
+    evaluations.  Without ``basis`` the search starts on the one p2_max
+    needs.  Every basis it builds, there or for a bracket extension, goes
+    into ``_bases`` by j_max, and later calls given the same dict reuse it.
     """
     sp = search_params or SearchParams()
-    grown = {} if _grown is None else _grown
+    bases = {} if _bases is None else _bases
+
+    def j_needed(p2: float) -> int:
+        return _point_config(base_config, p1_kick, p2, dtau).resolve_j_max()
+
+    def table(j_max: int) -> RotorBasis:
+        if j_max not in bases:
+            bases[j_max] = RotorBasis(j_max)
+        return bases[j_max]
+
     if basis is None:
-        basis = RotorBasis(_point_config(base_config, p1_kick, sp.p2_max, dtau).resolve_j_max())
+        basis = table(j_needed(sp.p2_max))
     cache: dict = {}
 
     def measure(p2: float) -> float:
@@ -683,11 +692,9 @@ def find_optimal_p2(
             # No maximum on the grid: extend it, growing the basis with it.
             step = grid[1] - grid[0]
             new = [grid[-1] + step * (i + 1) for i in range(COARSE_POINTS // 2)]
-            j_wider = _point_config(base_config, p1_kick, new[-1], dtau).resolve_j_max()
+            j_wider = j_needed(new[-1])
             if j_wider > basis.j_max:
-                if j_wider not in grown:
-                    grown[j_wider] = RotorBasis(j_wider)
-                basis = grown[j_wider]
+                basis = table(j_wider)
                 cache.clear()
             grid.extend(new)
             extensions += 1
@@ -712,16 +719,14 @@ def find_optimal_p2(
     return float(p2_opt), float(measure(p2_opt))
 
 
-def master_curve_check(
-    curves: list[EchoCurve],
-    reference_index: int | None = None,
-) -> MasterCurveResult:
+def master_curve_check(curves: list[EchoCurve]) -> MasterCurveResult:
     """Collapse p2 scans onto a reference by linear axis rescaling.
 
-    Each curve's kicks are divided by its factor before comparison, so
-    a curve needing a wider p2 axis than the reference gets a factor
-    above one.  Returns the factors (reference = 1) and the pooled RMS
-    deviation relative to the reference peak.
+    The reference is the curve whose axis reaches furthest (the first
+    such curve on a tie).  Each curve's kicks are divided by its factor
+    before comparison, so a curve needing a wider p2 axis than the
+    reference gets a factor above one.  Returns the factors (reference =
+    1) and the pooled RMS deviation relative to the reference peak.
     """
     from scipy.optimize import minimize_scalar
     if len(curves) < 2:
@@ -735,8 +740,7 @@ def master_curve_check(
     if max(p1s) - min(p1s) > 1e-9 * max(1.0, abs(p1s[0])):
         raise ValueError("curves must share the same first-pulse kick")
 
-    if reference_index is None:
-        reference_index = int(np.argmax([c.axis_values()[-1] for c in curves]))
+    reference_index = int(np.argmax([c.axis_values()[-1] for c in curves]))
     ref = curves[reference_index]
     xr, yr = ref.axis_values(), ref.s_values()
     peak = float(np.max(np.abs(yr)))

@@ -132,8 +132,7 @@ def averaged_scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, intensity_quadrature(geometry),
-        window_halfwidth, isolate, kernel=True, attach_fit=True,
-        workers=workers, basis=basis,
+        window_halfwidth, isolate, attach_fit=True, workers=workers, basis=basis,
     )
 
 

@@ -266,8 +266,7 @@ def _coherence_spectrum(
     """
     basis = rho.basis
     omegas = basis.omegas(rho.molecule)
-    n_freq = max(basis.j_max - 1, 0)
-    amp = np.zeros(n_freq, dtype=complex)
+    amp = np.zeros(basis.j_max - 1, dtype=complex)
     dc = 0.0
     for m, block in enumerate(rho.blocks):
         g = rho.degeneracy(m)
@@ -284,8 +283,6 @@ def _coherence_spectrum(
 def _free_values(spectrum: tuple, t_rel: np.ndarray) -> np.ndarray:
     """<cos^2 theta> at offsets t_rel from a state's (dc, amp, freqs) spectrum."""
     dc, amp, freqs = spectrum
-    if amp.size == 0:
-        return np.full(t_rel.shape, dc)
     osc = np.exp(1j * np.outer(t_rel, freqs)) @ amp
     return dc + 2.0 * osc.real
 
@@ -452,7 +449,8 @@ def run_pulse_sequence(
     the coherence spectrum, so sample times carry no propagation error.
     Samples that land inside a gaussian pulse window are taken on the
     integration mesh at the exact sample time.  A grid point at an
-    impulsive kick instant records the post-kick value.
+    impulsive kick instant records the post-kick value.  A trace outside
+    [-1/3, 2/3] by more than RANGE_TOL raises ToleranceError.
     """
     solver = config.solver
     if basis is None:
@@ -483,7 +481,9 @@ def run_pulse_sequence(
     values = _piecewise(times, stages)
     for lo, hi, vals in inner:
         values[lo:hi] = vals - 1.0 / 3.0
-    return AlignmentTrace(times=times, values=values, config=config)
+    trace = AlignmentTrace(times=times, values=values, config=config)
+    trace.validate()
+    return trace
 
 
 def run_two_pulse(

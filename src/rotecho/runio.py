@@ -76,22 +76,10 @@ def write_trace_csv(path, trace: AlignmentTrace, meta: dict) -> None:
 
 def write_curve_csv(path, curve: EchoCurve, meta: dict, averaged: bool = False) -> None:
     flag = "true" if averaged else "false"
-    axis = curve.scan_axis
-    rows = []
-    for p in curve.points:
-        scan_value = p.dtau if axis == "dtau" else p.p2_kick
-        rows.append(
-            (
-                fmt(scan_value),
-                fmt(p.s_echo),
-                fmt(p.t_max),
-                fmt(p.t_min),
-                fmt(p.p1_kick),
-                fmt(p.p2_kick),
-                fmt(p.dtau),
-                flag,
-            )
-        )
+    rows = (
+        [*map(fmt, (x, p.s_echo, p.t_max, p.t_min, p.p1_kick, p.p2_kick, p.dtau)), flag]
+        for x, p in zip(curve.axis_values(), curve.points)
+    )
     _write_csv(path, meta, CURVE_COLUMNS, rows)
 
 

@@ -172,3 +172,29 @@ def test_choose_jmax_accommodates_thermal_tail(ocs):
 def test_choose_jmax_grows_with_kick(ocs):
     assert choose_jmax(ocs, 8.0) > choose_jmax(ocs, 1.0)
     assert choose_jmax(ocs, 0.0) >= 10
+    # at 0 K the thermal band is the lowest allowed level: margin 4*ceil(kick) + 8
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 1.5) == 16
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0, weight_even=0.0), 1.5) == 17
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 0.0) == 10
+
+
+def _scalar_cos2_element(j: int, jp: int, m: int) -> float:
+    """The element in Python-int arithmetic, as the scalar path long computed it."""
+    j, jp = min(j, jp), max(j, jp)
+    if jp == j:
+        return 1.0 / 3.0 + (2.0 / 3.0) * ((j * (j + 1) - 3 * m * m) / ((2 * j - 1) * (2 * j + 3)))
+    num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
+    return math.sqrt(num / ((2 * j + 1) * (2 * j + 5))) / (2 * j + 3)
+
+
+def test_cos2_elements_keep_the_bits_of_python_int_arithmetic():
+    # the block builder and cos2theta_element share one formula; on int64
+    # arrays and on Python ints it must round exactly as Python ints did
+    for m in range(150):
+        for j in range(m, 200):
+            for jp in (j, j + 2):
+                assert cos2theta_element(j, jp, m) == _scalar_cos2_element(j, jp, m)
+    for j in (400, 8999, 10**6, 10**12, 10**20):
+        for m in (0, 7, 399):
+            assert cos2theta_element(j, j, m) == _scalar_cos2_element(j, j, m)
+            assert cos2theta_element(j + 2, j, m) == _scalar_cos2_element(j, j + 2, m)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shutil
 import string
 import subprocess
@@ -489,7 +490,7 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     runio.write_manifest(
         path,
         command="rotecho simulate --config run.cfg",
-        parameters={"p1_kick": 0.5, "j_max": 24},
+        parameters={"p1_kick": 0.5, "j_max": 24, "unset": math.nan},
         config_sha256="ab" * 32,
         molecule="OCS-cold",
         outputs=["trace.csv"],
@@ -499,6 +500,7 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     loaded = RunManifest.load(path)
     assert loaded.command == "rotecho simulate --config run.cfg"
     assert loaded.parameters["j_max"] == 24
+    assert loaded.parameters["unset"] is None  # JSON has no nan
     assert loaded.outputs == ("trace.csv",)
     assert loaded.notes == ("one note",)
     assert loaded.engine.startswith("rotecho ")
@@ -630,7 +632,7 @@ def test_scan_p2_writes_curve_and_fit(tmp_path, capsys):
     assert manifest.outputs == ("fit_sin2.json", "scan_p2.csv")
 
 
-def test_scan_dtau_curve(tmp_path):
+def test_scan_dtau_curve(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COLD_SCAN_DTAU)
     out = tmp_path / "sdt"
     assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
@@ -640,6 +642,15 @@ def test_scan_dtau_curve(tmp_path):
     assert [r[0] for r in rows] == [r[6] for r in rows]  # scan_value is dtau_ps
     trev = revival_period(molecule_preset("OCS"))
     assert float(rows[0][0]) == pytest.approx(0.06 * trev, rel=1e-12)
+
+    # an 8 ps window runs past the two later points' traces
+    cfg = write_cfg(tmp_path, COLD_SCAN_DTAU + "window_halfwidth_ps = 8\n", name="wide.cfg")
+    capsys.readouterr()
+    assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(": 1 points, 2 failed\n")
+    manifest = RunManifest.load(out / "manifest.json")
+    assert manifest.parameters["window_halfwidth_ps"] == 8.0
+    assert len(manifest.notes) == 2
 
 
 def test_scan_averaged_flag_and_geometry(tmp_path):
@@ -764,6 +775,10 @@ def test_pathways_verb(tmp_path, capsys):
     assert "P1 bra+2" in printed and "P1 ket+2" not in printed
     assert "5 sequences at dtau = 10.2496 ps" in printed
     assert "10.25, 30.75, 51.25, 71.75 ps" in printed
+    for flags, dtau in ((["--dtau-ps", "20"], "20.0000"), (["--dtau-frac", "0.25"], "20.4993")):
+        argv = ["pathways", "--start", "4", "--target", "6,4", *flags, "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        assert f"sequences at dtau = {dtau} ps" in capsys.readouterr().out
 
     comments, header, rows = read_csv(out / "pathways.csv")
     assert comments[0].startswith("# rotecho ")
@@ -783,6 +798,11 @@ def test_fit_decay_verb(tmp_path, capsys):
     assert payload["model"] == "amplitude*exp(-rate*t)"
     assert payload["rate_per_ps"] == pytest.approx(8e-3, rel=1e-6)
     assert payload["negative_rate"] is False
+
+    growing = tmp_path / "growing.csv"
+    growing.write_text("dtau_ps,s_echo_max\n5,1.0\n8,1.1\n11,1.2\n14,1.3\n", encoding="utf-8")
+    assert cli.main(["fit-decay", "--input", str(growing), "--out-dir", str(out)]) == 0
+    assert "(negative rate: amplitude grows over this range)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("verb", ["simulate", "scan", "opt", "pathways", "fit-decay"])
@@ -839,6 +859,12 @@ def test_exit_code_2_for_config_problems(tmp_path, capsys):
         ["pathways", "--start", "x", "--target", "6,4", "--out-dir", str(tmp_path)]
     ) == 2
 
+    # an engine precondition (the trace must end past the second pulse)
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, COLD_SIM + "t_end_ps = 1.0\n", name="short.cfg")
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "invalid parameter: t_end must lie past the last pulse" in capsys.readouterr().err
+
 
 def test_exit_code_3_for_numerical_failures(tmp_path, capsys):
     # basis too small for a room-temperature ensemble: truncation refusal
@@ -871,10 +897,16 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         assert exit_info.value.code == 2
 
 
-def test_version_via_module_and_script():
-    # the module form and the console-script entry point that
-    # pyproject.toml declares, run the way an installed script calls it;
-    # without tomllib (Python 3.10) only the module form is checked
+def test_version_via_module_and_script(monkeypatch, capsys):
+    # the module form, in process and in a child, and the console-script
+    # entry point that pyproject.toml declares, run the way an installed
+    # script calls it; without tomllib (Python 3.10) only the module form
+    # is checked
+    monkeypatch.setattr(sys, "argv", ["rotecho", "--version"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("rotecho", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("rotecho ")
     got = subprocess.run(
         [sys.executable, "-m", "rotecho", "--version"],
         capture_output=True, text=True, check=True, env=_CHILD_ENV,

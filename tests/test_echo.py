@@ -9,8 +9,10 @@ from rotecho import (
     BeamGeometry,
     EchoCurve,
     EchoMeasurement,
+    ExperimentConfig,
     FitError,
     MoleculeSpec,
+    PulseSpec,
     SearchParams,
     WindowError,
     averaged_scan_p2,
@@ -137,6 +139,13 @@ def test_scan_captures_window_failures():
     assert len(curve) == 1
     assert len(curve.failures) == 1
     assert curve.failures[0][0] == pytest.approx(0.005 * TREV)
+    # a window running past the trace's end fails at extraction, after the
+    # point's samples were evaluated, and still comes back as a failure
+    dtau = 0.2 * TREV
+    wide = scan_dtau(np.array([dtau]), 0.5, 0.3, base, window_halfwidth=0.1 * TREV)
+    assert len(wide) == 0
+    ((value, message),) = wide.failures
+    assert value == dtau and "outside the trace" in message
 
 
 def test_scan_p2_parallel_matches_serial():
@@ -306,6 +315,23 @@ def test_master_curve_collapse_and_factor_convention():
     # the narrower curve folds onto the reference with factor b_ref/b
     assert result.factors[1] == pytest.approx(0.5, rel=1e-2)
     assert result.residual < 1e-3
+
+
+def test_point_config_keeps_both_pulse_shapes_of_the_template():
+    base = ExperimentConfig(
+        molecule=COLD,
+        pulses=(PulseSpec(t0=0.0, kick=1.0, duration_fwhm=0.2, shape="gaussian"),
+                PulseSpec(t0=6.0, kick=0.5, shape="impulsive")),
+        t_end=20.0,
+        dt_sample=0.05,
+        j_max=24,
+    )
+    dtau = 0.1 * TREV
+    cfg = echo._point_config(base, 0.7, 0.3, dtau)
+    first, second = cfg.pulses
+    assert (first.shape, first.duration_fwhm, first.kick, first.t0) == ("gaussian", 0.2, 0.7, 0.0)
+    assert (second.shape, second.kick, second.t0) == ("impulsive", 0.3, dtau)
+    assert (cfg.j_max, cfg.dt_sample) == (24, 0.05)
 
 
 def test_master_curve_rejects_mismatched_p1():

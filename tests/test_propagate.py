@@ -129,6 +129,15 @@ def test_trace_grid_and_validation(ocs, trev):
         )
 
 
+def test_run_pulse_sequence_rejects_a_trace_out_of_range(ocs, trev, monkeypatch):
+    from rotecho import ToleranceError, propagate
+
+    piecewise = propagate._piecewise
+    monkeypatch.setattr(propagate, "_piecewise", lambda *a: piecewise(*a) + 1.0)
+    with pytest.raises(ToleranceError, match="out of"):
+        run_two_pulse(two_pulse_config(ocs, 0.5, 0.3, 0.07 * trev))
+
+
 def test_two_pulse_config_wiring(ocs, trev):
     dtau = 0.1 * trev
     cfg = two_pulse_config(ocs, 1.0, 0.5, dtau)
