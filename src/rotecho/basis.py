@@ -126,8 +126,8 @@ def cos2theta_element(j: int, jp: int, m: int) -> float:
 class RotorBasis:
     """Truncated |J, m> basis with per-m blocks, J = |m| .. j_max.
 
-    Instances are immutable value objects: all stored arrays are marked
-    read-only, so a basis can be shared freely between scan workers.
+    Instances are read-only and shared by identity: all stored arrays
+    are marked read-only, so a basis can be shared freely between scans.
     Eigendecompositions of the coupling blocks are cached lazily; they
     are what makes repeated pulse applications cheap.
     """
@@ -148,12 +148,6 @@ class RotorBasis:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RotorBasis(j_max={self.j_max})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RotorBasis) and other.j_max == self.j_max
-
-    def __hash__(self) -> int:
-        return hash(("RotorBasis", self.j_max))
 
     def block_dim(self, m: int) -> int:
         return self.j_max - m + 1

@@ -418,6 +418,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rotecho: invalid parameter: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

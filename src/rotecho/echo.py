@@ -53,7 +53,6 @@ from .propagate import (
     _sample_times,
     run_pulse_sequence,
     run_two_pulse,
-    two_pulse_config,
 )
 
 # Default halfwidth of the extraction window, as a fraction of T_rev.
@@ -320,26 +319,18 @@ def _point_config(
 ) -> ExperimentConfig:
     """Two-pulse config for one scan point, inheriting solver settings.
 
-    Pulse shapes and durations come from the template's first two
-    pulses (its only pulse twice); t_end always tracks the echo position
-    of *this* point.
+    The pulses are the template's first two (its only pulse twice) with
+    kicks p1 and p2 at t0 = 0 and dtau; t_end always tracks the echo
+    position of *this* point, as in ``two_pulse_config``.
     """
+    if dtau <= 0.0:
+        raise ValueError("dtau must be positive")
     first, second = (base.pulses * 2)[:2]
-    cfg = two_pulse_config(
-        base.molecule,
-        p1_kick,
-        p2_kick,
-        dtau,
-        shape=first.shape,
-        duration_fwhm=first.duration_fwhm,
-        dt_sample=base.dt_sample,
-        j_max=base.j_max,
-        solver=base.solver,
+    return replace(
+        base,
+        pulses=(replace(first, t0=0.0, kick=p1_kick), replace(second, t0=dtau, kick=p2_kick)),
+        t_end=2.0 * dtau + TRACE_TAIL_FRACTION * revival_period(base.molecule),
     )
-    if (second.shape, second.duration_fwhm) != (first.shape, first.duration_fwhm):
-        pulse = replace(cfg.pulses[1], shape=second.shape, duration_fwhm=second.duration_fwhm)
-        cfg = replace(cfg, pulses=(cfg.pulses[0], pulse))
-    return cfg
 
 
 # The quadrature of an unaveraged point: one exact on-axis node.
@@ -761,42 +752,37 @@ def master_curve_check(curves: list[EchoCurve]) -> MasterCurveResult:
         x, y = c.axis_values(), c.s_values()
         f0 = peak_pos(c) / peak_pos(ref)
 
-        def misfit(f: float) -> float:
+        def deviations(f: float) -> np.ndarray:
+            """Deviations from the reference in its span, this axis / f."""
             xs = x / f
             inside = (xs >= xr[0]) & (xs <= xr[-1])
             if inside.sum() < 6:
+                raise FitError(f"curve {i} keeps only {int(inside.sum())} points inside the "
+                               "reference span after rescaling")
+            return y[inside] - np.interp(xs[inside], xr, yr)
+
+        def misfit(f: float) -> float:
+            try:
+                return float(np.mean(deviations(f) ** 2))
+            except FitError:
                 return 1e9
-            resid = y[inside] - np.interp(xs[inside], xr, yr)
-            return float(np.mean(resid**2))
 
         res = minimize_scalar(misfit, bounds=(0.5 * f0, 2.0 * f0), method="bounded")
         f = float(res.x)
-        xs = x / f
-        inside = (xs >= xr[0]) & (xs <= xr[-1])
-        if inside.sum() < 6:
-            raise FitError(
-                f"curve {i} keeps only {int(inside.sum())} points inside the "
-                "reference span after rescaling"
-            )
-        resid = y[inside] - np.interp(xs[inside], xr, yr)
+        resid = deviations(f)
         sq_sum += float(np.sum(resid**2))
-        n_sum += int(inside.sum())
+        n_sum += resid.size
         factors.append(f)
-    residual = math.sqrt(sq_sum / n_sum) / peak if n_sum else 0.0
-    return MasterCurveResult(
-        factors=tuple(factors), residual=residual, reference_index=reference_index
-    )
+    # every curve but the reference adds at least 6 points, so n_sum > 0
+    residual = math.sqrt(sq_sum / n_sum) / peak
+    return MasterCurveResult(tuple(factors), residual, reference_index)
 
 
-def fit_decay(
-    measurements,
-    model="exponential",
-) -> DecayFit:
+def fit_decay(measurements) -> DecayFit:
     """Decay rate of peak echo amplitude: s(dtau) = A*exp(-rate*2*dtau).
 
     ``measurements`` is a sequence of (dtau, s_echo_max) pairs; the echo
-    appears at 2*dtau, so the rate is per unit echo time.  A custom
-    two-parameter model(t, amplitude, rate) may be passed.  A negative
+    appears at 2*dtau, so the rate is per unit echo time.  A negative
     fitted rate is flagged, not raised.
     """
     from scipy.optimize import OptimizeWarning, curve_fit
@@ -806,28 +792,22 @@ def fit_decay(
     t = 2.0 * data[:, 0]
     y = data[:, 1]
 
-    if model == "exponential":
-        def model_fn(tt, amplitude, rate):
-            return amplitude * np.exp(-rate * tt)
-    elif callable(model):
-        model_fn = model
-    else:
-        raise ValueError("model must be 'exponential' or a callable")
+    def model(tt, amplitude, rate):
+        return amplitude * np.exp(-rate * tt)
 
     pos = y > 0
-    if pos.sum() >= 2:
-        slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
-        p0 = (math.exp(intercept), -slope)
-    else:
+    if pos.sum() < 2:
         raise FitError("need at least two positive amplitudes")
+    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
+    p0 = (math.exp(intercept), -slope)
     try:
         with warnings.catch_warnings():
             # rate ~ 0 makes the covariance rank-deficient; we discard it anyway
             warnings.simplefilter("ignore", OptimizeWarning)
-            (amplitude, rate), _ = curve_fit(model_fn, t, y, p0=p0, maxfev=20000)
+            (amplitude, rate), _ = curve_fit(model, t, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"decay fit did not converge (p0={p0})") from exc
-    residual = float(np.sqrt(np.mean((model_fn(t, amplitude, rate) - y) ** 2)) / abs(amplitude))
+    residual = float(np.sqrt(np.mean((model(t, amplitude, rate) - y) ** 2)) / abs(amplitude))
     # flat data fits to rate = +/- epsilon; only a resolvable growth is flagged
     return DecayFit(
         rate=float(rate),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from . import __version__
@@ -125,6 +125,10 @@ def write_fit_json(path, fit, meta: dict) -> None:
         raise TypeError(f"no JSON layout for {type(fit).__name__}")
     payload = {k: _rounded(v) for k, v in payload.items()}
     payload["provenance"] = provenance_lines(meta)
+    _write_json(path, payload)
+
+
+def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -132,7 +136,7 @@ def write_fit_json(path, fit, meta: dict) -> None:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What produced a set of outputs, written alongside them as JSON.
+    """A run manifest as ``load`` reads it back.
 
     The data files a run writes are byte-deterministic for a given
     config and engine version; the manifest records wall-clock timings
@@ -145,28 +149,8 @@ class RunManifest:
     molecule: str
     outputs: tuple[str, ...]
     timings_s: dict
-    notes: tuple[str, ...] = ()
-    engine: str = field(default=f"rotecho {__version__}")
-
-    def payload(self) -> dict:
-        data = {
-            "engine": self.engine,
-            "command": self.command,
-            "parameters": {k: _rounded(v) for k, v in sorted(self.parameters.items())},
-            "config_sha256": self.config_sha256,
-            "molecule": self.molecule,
-            "outputs": list(self.outputs),
-            "timings_s": {k: _rounded(v) for k, v in sorted(self.timings_s.items())},
-            "timings_note": "wall-clock; outside the byte-determinism contract",
-        }
-        if self.notes:
-            data["notes"] = list(self.notes)
-        return data
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(self.payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    notes: tuple[str, ...]
+    engine: str
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -201,15 +185,20 @@ def write_manifest(
     timings: dict,
     notes: list[str] | None = None,
 ) -> None:
-    RunManifest(
-        command=command,
-        parameters=dict(parameters),
-        config_sha256=config_sha256,
-        molecule=molecule,
-        outputs=tuple(sorted(outputs)),
-        timings_s=dict(timings),
-        notes=tuple(notes or ()),
-    ).write(path)
+    """What produced a set of outputs, written alongside them as JSON."""
+    payload = {
+        "engine": f"rotecho {__version__}",
+        "command": command,
+        "parameters": {k: _rounded(v) for k, v in parameters.items()},
+        "config_sha256": config_sha256,
+        "molecule": molecule,
+        "outputs": sorted(outputs),
+        "timings_s": {k: _rounded(v) for k, v in timings.items()},
+        "timings_note": "wall-clock; outside the byte-determinism contract",
+    }
+    if notes:
+        payload["notes"] = list(notes)
+    _write_json(path, payload)
 
 
 def read_decay_table(path) -> list[tuple[float, float]]:

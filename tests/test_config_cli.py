@@ -914,8 +914,10 @@ def test_version_via_module_and_script(monkeypatch, capsys):
     assert got.stdout.strip().startswith("rotecho ")
     tomllib = pytest.importorskip("tomllib")
     with open(_PYPROJECT, "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    module, func = scripts["rotecho"].split(":")
+        project = tomllib.load(fh)["project"]
+    # the package states its version once per source; the two must agree
+    assert got.stdout == f"rotecho {project['version']}\n"
+    module, func = project["scripts"]["rotecho"].split(":")
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     got = subprocess.run(
         [sys.executable, "-c", launcher, "--version"],

@@ -31,6 +31,7 @@ from rotecho import (
     two_pulse_config,
 )
 from rotecho import echo
+from rotecho.propagate import TRACE_TAIL_FRACTION
 
 # cold ensemble: same spectrum, far fewer levels, so engine-backed
 # tests run in milliseconds
@@ -155,6 +156,9 @@ def test_scan_p2_parallel_matches_serial():
     serial = scan_p2(grid, 0.5, dtau, base, attach_fit=False, workers=1)
     parallel = scan_p2(grid, 0.5, dtau, base, attach_fit=False, workers=2)
     assert np.array_equal(serial.s_values(), parallel.s_values())
+    # a zero separation is a caller's mistake, not a curve of point failures
+    with pytest.raises(ValueError, match="dtau must be positive"):
+        scan_p2(grid, 0.5, 0.0, base, attach_fit=False)
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -294,17 +298,6 @@ def test_fit_decay_needs_four_points():
         fit_decay([(5.0, 1.0), (10.0, 0.9), (15.0, 0.8)])
 
 
-def test_fit_decay_custom_model():
-    # gaussian-in-time decay passed as a callable
-    def model(t, amplitude, rate):
-        return amplitude * np.exp(-((rate * t) ** 2))
-
-    rate, amp = 5e-3, 3e-3
-    pairs = [(d, model(2 * d, amp, rate)) for d in (5.0, 15.0, 30.0, 50.0, 70.0)]
-    fit = fit_decay(pairs, model=model)
-    assert fit.rate == pytest.approx(rate, rel=1e-6)
-
-
 def test_master_curve_collapse_and_factor_convention():
     a = 1.0e-3
     wide = _sin2_curve(a, 0.4, np.linspace(0.5, 6.0, 12))
@@ -321,7 +314,7 @@ def test_point_config_keeps_both_pulse_shapes_of_the_template():
     base = ExperimentConfig(
         molecule=COLD,
         pulses=(PulseSpec(t0=0.0, kick=1.0, duration_fwhm=0.2, shape="gaussian"),
-                PulseSpec(t0=6.0, kick=0.5, shape="impulsive")),
+                PulseSpec(t0=6.0, kick=0.5, duration_fwhm=0.15, shape="impulsive")),
         t_end=20.0,
         dt_sample=0.05,
         j_max=24,
@@ -330,8 +323,41 @@ def test_point_config_keeps_both_pulse_shapes_of_the_template():
     cfg = echo._point_config(base, 0.7, 0.3, dtau)
     first, second = cfg.pulses
     assert (first.shape, first.duration_fwhm, first.kick, first.t0) == ("gaussian", 0.2, 0.7, 0.0)
-    assert (second.shape, second.kick, second.t0) == ("impulsive", 0.3, dtau)
+    assert (second.shape, second.duration_fwhm, second.kick, second.t0) == (
+        "impulsive", 0.15, 0.3, dtau)
     assert (cfg.j_max, cfg.dt_sample) == (24, 0.05)
+    # t_end tracks this point's echo, as two_pulse_config places it
+    assert cfg.t_end == 2.0 * dtau + TRACE_TAIL_FRACTION * TREV
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="dtau must be positive"):
+            echo._point_config(base, 0.7, 0.3, bad)
+
+
+def test_master_curve_skips_trial_factors_that_leave_too_few_points(monkeypatch):
+    # the reference spans only [3, 6]; trial factors below about 0.45 push
+    # the narrow curve's upper points past 6, leaving fewer than 6 in span
+    import scipy.optimize
+
+    minimize_scalar, misfits = scipy.optimize.minimize_scalar, []
+
+    def recording(fun, **kwargs):
+        def traced(f):
+            misfits.append(fun(f))
+            return misfits[-1]
+        return minimize_scalar(traced, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", recording)
+    a = 1.0e-3
+    wide = _sin2_curve(a, 0.4, np.linspace(3.0, 6.0, 16))
+    narrow = _sin2_curve(a, 0.8, np.linspace(1.5, 3.0, 8))
+    result = master_curve_check([wide, narrow])
+    assert 1e9 in misfits
+    assert result.factors == (1.0, pytest.approx(0.5, rel=1e-3))
+    # the 6 points span a ratio of 4.8, the reference 3: no factor keeps all 6
+    sparse = _sin2_curve(a, 0.8, np.linspace(0.5, 2.4, 6))
+    with pytest.raises(FitError, match=r"^curve 1 keeps only [0-5] points inside "
+                       r"the reference span after rescaling$"):
+        master_curve_check([_sin2_curve(a, 0.4, np.linspace(2.0, 6.0, 12)), sparse])
 
 
 def test_master_curve_rejects_mismatched_p1():
