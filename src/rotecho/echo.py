@@ -17,13 +17,14 @@ delay-independent term and leaves the rephased transient on a flat
 baseline; pass ``isolate=False`` to measure the raw trace instead.
 ``extract_secho`` itself never simulates anything and measures whatever
 trace it is handed.  One evaluator serves every scan and the optimum
-search: each quadrature node's window samples, summed in fixed node order
-and measured once.  Scans run node-major, so an averaged scan builds each
-shell's first pulse once.  Impulsive points of the search, averaged scans
-and ``run_isolated_echo`` take propagate's amplitude kernel; the reference
-density-matrix path (``run_pulse_sequence``) runs gaussian pulses and the
-plain scans.  scipy loads only for a sin**2 fit past its lobe checks, the
-decay fit and ``master_curve_check``.
+search: a point's window is placed once, before any node runs, and the
+nodes' window samples are summed in fixed node order and measured once.
+Scans run node-major, so an averaged scan builds each shell's first
+pulse once.  Impulsive points of the search, averaged scans and
+``run_isolated_echo`` take propagate's amplitude kernel; the reference
+density-matrix path (``run_pulse_sequence``) runs gaussian pulses and
+the plain scans.  scipy loads only for a sin**2 fit past its lobe
+checks, the decay fit and ``master_curve_check``.
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -46,11 +47,11 @@ import numpy as np
 from .basis import MoleculeSpec, RotorBasis, revival_period
 from .errors import BracketError, FitError, ToleranceError, WindowError
 from .propagate import (
-    TRACE_TAIL_FRACTION,
     AlignmentTrace,
     ExperimentConfig,
     _impulsive_values,
     _sample_times,
+    _trace_end,
     run_pulse_sequence,
     run_two_pulse,
 )
@@ -166,6 +167,14 @@ class DecayFit:
     negative: bool
 
 
+def _halfwidth(molecule: MoleculeSpec, requested: float | None) -> float:
+    """The requested halfwidth, or the default share of T_rev for None."""
+    w = DEFAULT_WINDOW_FRACTION * revival_period(molecule) if requested is None else float(requested)
+    if w <= 0.0:
+        raise WindowError("window halfwidth must be positive")
+    return w
+
+
 def echo_window_halfwidth(
     dtau: float,
     molecule: MoleculeSpec,
@@ -176,11 +185,8 @@ def echo_window_halfwidth(
     Clips the requested (or default 0.03*T_rev) halfwidth so the window
     stays clear of the second pulse by WINDOW_GUARD_FRACTION*T_rev.
     """
-    t_rev = revival_period(molecule)
-    w = DEFAULT_WINDOW_FRACTION * t_rev if requested is None else float(requested)
-    if w <= 0.0:
-        raise WindowError("window halfwidth must be positive")
-    w_eff = min(w, dtau - WINDOW_GUARD_FRACTION * t_rev)
+    guard = WINDOW_GUARD_FRACTION * revival_period(molecule)
+    w_eff = min(_halfwidth(molecule, requested), dtau - guard)
     if w_eff <= 0.0:
         raise WindowError(
             f"separation {dtau:.3f} ps leaves no room for an extraction window "
@@ -218,6 +224,20 @@ def dtau_grid(
     return out
 
 
+def _window_mask(times: np.ndarray, dtau: float, w: float) -> np.ndarray:
+    """Mask of [2*dtau - w, 2*dtau + w] in times; WindowError if off the grid or < 3 samples."""
+    lo, hi = 2.0 * dtau - w, 2.0 * dtau + w
+    if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12:
+        raise WindowError(
+            f"window [{lo:.3f}, {hi:.3f}] ps falls outside the trace "
+            f"[{times[0]:.3f}, {times[-1]:.3f}] ps"
+        )
+    select = (times >= lo) & (times <= hi)
+    if np.count_nonzero(select) < 3:
+        raise WindowError("window contains fewer than 3 samples")
+    return select
+
+
 def extract_secho(
     trace: AlignmentTrace,
     dtau: float,
@@ -231,20 +251,8 @@ def extract_secho(
     the trace exactly as given; see the module docstring for when a
     background-isolated trace is the right input.
     """
-    molecule = trace.config.molecule
-    t_rev = revival_period(molecule)
-    w = DEFAULT_WINDOW_FRACTION * t_rev if window_halfwidth is None else float(window_halfwidth)
-    if w <= 0.0:
-        raise WindowError("window halfwidth must be positive")
-    lo, hi = 2.0 * dtau - w, 2.0 * dtau + w
-    if lo < trace.times[0] - 1e-12 or hi > trace.times[-1] + 1e-12:
-        raise WindowError(
-            f"window [{lo:.3f}, {hi:.3f}] ps falls outside the trace "
-            f"[{trace.times[0]:.3f}, {trace.times[-1]:.3f}] ps"
-        )
-    tw, vw = trace.window(lo, hi)
-    if tw.size < 3:
-        raise WindowError("window contains fewer than 3 samples")
+    select = _window_mask(trace.times, dtau, _halfwidth(trace.config.molecule, window_halfwidth))
+    tw, vw = trace.times[select], trace.values[select]
 
     pulses = trace.config.pulses
     p1_kick = pulses[0].kick if len(pulses) == 2 else math.nan
@@ -312,10 +320,7 @@ def run_isolated_echo(
 
 
 def _point_config(
-    base: ExperimentConfig,
-    p1_kick: float,
-    p2_kick: float,
-    dtau: float,
+    base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float
 ) -> ExperimentConfig:
     """Two-pulse config for one scan point, inheriting solver settings.
 
@@ -329,7 +334,7 @@ def _point_config(
     return replace(
         base,
         pulses=(replace(first, t0=0.0, kick=p1_kick), replace(second, t0=dtau, kick=p2_kick)),
-        t_end=2.0 * dtau + TRACE_TAIL_FRACTION * revival_period(base.molecule),
+        t_end=_trace_end(base.molecule, dtau),
     )
 
 
@@ -339,31 +344,17 @@ _PLAIN_NODES = ((1.0, 1.0),)
 
 
 def _window(base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, halfwidth) -> tuple:
-    """(nominal config, sample times, mask of the window extract_secho reads, halfwidth)."""
+    """(nominal config, times, window mask, halfwidth) of one point, or WindowError."""
     w_eff = echo_window_halfwidth(dtau, base.molecule, halfwidth)
     nominal = _point_config(base, p1_kick, p2_kick, dtau)
     times = _sample_times(nominal)
-    return nominal, times, (times >= 2.0 * dtau - w_eff) & (times <= 2.0 * dtau + w_eff), w_eff
+    return nominal, times, _window_mask(times, dtau, w_eff), w_eff
 
 
-def _node_values(
-    base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, fraction: float,
-    halfwidth: float | None, isolate: bool, kernel: bool, basis: RotorBasis, first_pulse_cache: dict,
-) -> np.ndarray:
-    """The evaluator's first step: one node's window samples at one point,
-    both kicks scaled by its intensity fraction, on the nominal grid."""
-    select = _window(base, p1_kick, p2_kick, dtau, halfwidth)[2]
-    cfg = _point_config(base, fraction * p1_kick, fraction * p2_kick, dtau)
-    return _trace_values(cfg, basis, first_pulse_cache, isolate, select, kernel)
-
-
-def _echo_point(
-    base: ExperimentConfig, p1_kick: float, p2_kick: float, dtau: float, nodes,
-    halfwidth: float | None, node_values,
-) -> EchoMeasurement:
+def _echo_point(dtau: float, window: tuple, nodes, node_values) -> EchoMeasurement:
     """The evaluator's second step: the weighted sum of the nodes' window
     samples, given in node order, measured once at the nominal kicks."""
-    nominal, times, select, w_eff = _window(base, p1_kick, p2_kick, dtau, halfwidth)
+    nominal, times, select, w_eff = window
     acc = None
     # fixed node order keeps the reduction bit-stable across runs
     for (_, weight), values in zip(nodes, node_values, strict=True):
@@ -374,11 +365,15 @@ def _echo_point(
     return extract_secho(AlignmentTrace(times=times, values=values, config=nominal), dtau, w_eff)
 
 
-def _node_task(task: tuple, basis: RotorBasis, cache: dict) -> np.ndarray | str:
-    """_node_values of one task; a window or tolerance problem comes back as its message."""
+def _node_task(task: tuple | str, basis: RotorBasis, cache: dict) -> np.ndarray | str:
+    """The evaluator's first step: one node's window samples at one point.  A
+    placement failure's message passes through; a tolerance problem returns its."""
+    if isinstance(task, str):
+        return task
+    config, select, isolate, kernel = task
     try:
-        return _node_values(*task, basis, cache)
-    except (WindowError, ToleranceError) as exc:
+        return _trace_values(config, basis, cache, isolate, select, kernel)
+    except ToleranceError as exc:
         return str(exc)
 
 
@@ -419,7 +414,7 @@ def _init_worker(j_max: int, workers: int) -> None:
     _worker = (RotorBasis(j_max), {})
 
 
-def _worker_task(task: tuple) -> np.ndarray | str:
+def _worker_task(task: tuple | str) -> np.ndarray | str:
     return _node_task(task, *_worker)
 
 
@@ -444,15 +439,22 @@ def _run_scan(
     gets whole nodes as chunks if there are at least as many nodes as
     workers, else single values, and no more workers than chunks.  Points
     and failures come back in task order, a failure with its axis value
-    and its first failing node's message.
+    and its first failing node's message.  Each window is placed once, before
+    any node runs: a point whose window cannot fit runs no node.
     """
     # Plain scans stay on the density-matrix reference path, whose exact
     # call counts bench/test_bench.py pins; averaged scans take the kernel.
     kernel = nodes is not _PLAIN_NODES
     j_common = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
-    jobs = [
-        (base, p1, p2, d, fraction, halfwidth, isolate, kernel)
-        for fraction, _ in nodes for _, p1, p2, d in tasks
+    windows = []
+    for _, p1, p2, d in tasks:
+        try:
+            windows.append(_window(base, p1, p2, d, halfwidth))
+        except WindowError as exc:
+            windows.append(str(exc))
+    jobs = [  # a shell's job: its kick-scaled config and its point's window mask
+        w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2], isolate, kernel)
+        for f, _ in nodes for (_, p1, p2, d), w in zip(tasks, windows)
     ]
     chunk = len(tasks) if len(nodes) >= workers else 1
     workers = min(workers, len(jobs) // chunk)
@@ -468,13 +470,10 @@ def _run_scan(
         cache: dict = {}
         results = [_node_task(job, basis, cache) for job in jobs]
     out = []
-    for i, (ax, *point) in enumerate(tasks):
+    for i, ((ax, *_, d), window) in enumerate(zip(tasks, windows)):
         node_values = results[i :: len(tasks)]
         failed = [(ax, v) for v in node_values if isinstance(v, str)]
-        try:
-            out.append(failed[0] if failed else _echo_point(base, *point, nodes, halfwidth, node_values))
-        except WindowError as exc:
-            out.append((ax, str(exc)))
+        out.append(failed[0] if failed else _echo_point(d, window, nodes, node_values))
     points = [r for r in out if isinstance(r, EchoMeasurement)]
     failures = [r for r in out if not isinstance(r, EchoMeasurement)]
     return points, failures
@@ -651,22 +650,19 @@ def find_optimal_p2(
     sp = search_params or SearchParams()
     bases = {} if _bases is None else _bases
 
-    def j_needed(p2: float) -> int:
-        return _point_config(base_config, p1_kick, p2, dtau).resolve_j_max()
-
     def table(j_max: int) -> RotorBasis:
         if j_max not in bases:
             bases[j_max] = RotorBasis(j_max)
         return bases[j_max]
 
     if basis is None:
-        basis = table(j_needed(sp.p2_max))
+        basis = table(_scan_jmax(base_config, [(p1_kick, sp.p2_max, dtau)]))
     cache: dict = {}
 
     def measure(p2: float) -> float:
-        args = (base_config, p1_kick, float(p2), dtau)
-        values = _node_values(*args, 1.0, window_halfwidth, isolate, True, basis, cache)
-        return _echo_point(*args, _PLAIN_NODES, window_halfwidth, [values]).s_echo
+        window = _window(base_config, p1_kick, float(p2), dtau, window_halfwidth)
+        values = _trace_values(window[0], basis, cache, isolate, window[2])
+        return _echo_point(dtau, window, _PLAIN_NODES, [values]).s_echo
 
     # Coarse bracket, left to right: stop at the first point that closes an
     # interior maximum of |s|, extending the grid while none has closed.
@@ -683,7 +679,7 @@ def find_optimal_p2(
             # No maximum on the grid: extend it, growing the basis with it.
             step = grid[1] - grid[0]
             new = [grid[-1] + step * (i + 1) for i in range(COARSE_POINTS // 2)]
-            j_wider = j_needed(new[-1])
+            j_wider = _scan_jmax(base_config, [(p1_kick, new[-1], dtau)])
             if j_wider > basis.j_max:
                 basis = table(j_wider)
                 cache.clear()
@@ -767,8 +763,10 @@ def master_curve_check(curves: list[EchoCurve]) -> MasterCurveResult:
             except FitError:
                 return 1e9
 
-        res = minimize_scalar(misfit, bounds=(0.5 * f0, 2.0 * f0), method="bounded")
-        f = float(res.x)
+        # only factors in [x[5]/xr[-1], x[-6]/xr[0]] can keep 6 points in span;
+        # if none can, deviations(f0) raises the span error
+        lo, hi = max(0.5 * f0, x[5] / xr[-1]), min(2.0 * f0, x[-6] / xr[0])
+        f = float(minimize_scalar(misfit, bounds=(lo, hi), method="bounded").x) if lo < hi else f0
         resid = deviations(f)
         sq_sum += float(np.sum(resid**2))
         n_sum += resid.size

@@ -59,6 +59,9 @@ WINDOW_SIGMAS = 4.0
 # Largest hermiticity defect a state may carry after a pulse.
 HERM_TOL = 1e-10
 
+# Largest drift of a state's weighted trace from 1 after a pulse.
+TRACE_TOL = 1e-9
+
 # Stage fractions (w1, w0, w1) of Yoshida's fourth-order triple jump,
 # Phys. Lett. A 150, 262 (1990); w0 < 0 runs the middle stage backwards.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -102,7 +105,6 @@ class SolverOptions:
 
     substeps: int = 48             # fourth-order steps (3 stages each) per pulse window
     truncation_tol: float = 1e-2   # thermal-population guard at J = j_max
-    trace_tol: float = 1e-9        # post-pulse trace-drift guard
 
     def __post_init__(self) -> None:
         if self.substeps < 1:
@@ -142,6 +144,11 @@ class ExperimentConfig:
         )
 
 
+def _trace_end(molecule: MoleculeSpec, dtau: float) -> float:
+    """End of a two-pulse trace: a fixed share of T_rev past the echo at 2*dtau."""
+    return 2.0 * dtau + TRACE_TAIL_FRACTION * revival_period(molecule)
+
+
 def two_pulse_config(
     molecule: MoleculeSpec,
     p1_kick: float,
@@ -167,11 +174,10 @@ def two_pulse_config(
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
-    t_rev = revival_period(molecule)
     if t_end is None:
-        t_end = 2.0 * dtau + TRACE_TAIL_FRACTION * t_rev
+        t_end = _trace_end(molecule, dtau)
     if dt_sample is None:
-        dt_sample = t_rev / TRACE_SAMPLES_PER_REVIVAL
+        dt_sample = revival_period(molecule) / TRACE_SAMPLES_PER_REVIVAL
     pulses = (
         PulseSpec(t0=0.0, kick=p1_kick, duration_fwhm=duration_fwhm, shape=shape),
         PulseSpec(t0=dtau, kick=p2_kick, duration_fwhm=duration_fwhm, shape=shape),
@@ -247,12 +253,8 @@ def impulsive_kick(rho: MBlockDensityMatrix, kick: float) -> MBlockDensityMatrix
 
 
 def expectation_cos2(rho: MBlockDensityMatrix) -> float:
-    """Degeneracy-weighted <cos^2 theta> of the state."""
-    total = 0.0
-    for m, block in enumerate(rho.blocks):
-        c = rho.basis.cos2_block(m)
-        total += rho.degeneracy(m) * float(np.sum(block.real * c))
-    return total
+    """Degeneracy-weighted <cos^2 theta> of the state: its spectrum at t = 0."""
+    return float(_free_values(_coherence_spectrum(rho), np.zeros(1))[0])
 
 
 def _coherence_spectrum(
@@ -422,11 +424,11 @@ def apply_pulse(
     return out
 
 
-def _check_drift(trace: float, solver: SolverOptions, defect: float = 0.0) -> None:
+def _check_drift(trace: float, defect: float = 0.0) -> None:
     """Raise ToleranceError for a weighted trace off 1 or a hermiticity defect."""
     drift = abs(trace - 1.0)
-    if drift > solver.trace_tol:
-        raise ToleranceError(f"trace drift {drift:.3e} exceeds {solver.trace_tol:.1e}")
+    if drift > TRACE_TOL:
+        raise ToleranceError(f"trace drift {drift:.3e} exceeds {TRACE_TOL:.1e}")
     if defect > HERM_TOL:
         raise ToleranceError(
             f"hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}"
@@ -474,7 +476,7 @@ def run_pulse_sequence(
             lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
             rho, vals = _apply_gaussian_pulse(rho, pulse, solver, times[lo:hi])
             inner.append((lo, hi, vals))
-        _check_drift(rho.weighted_trace(), solver, rho.hermiticity_defect())
+        _check_drift(rho.weighted_trace(), rho.hermiticity_defect())
         stages.append((w_end, _coherence_spectrum(rho)))
         cursor = w_end
 
@@ -541,7 +543,7 @@ def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
     return [group[1:] for group in groups], targets, omegas[2:] - omegas[:-2]
 
 
-def _spectra(thermal: tuple, states, n_states: int, solver: SolverOptions) -> list:
+def _spectra(thermal: tuple, states, n_states: int) -> list:
     """(dc, amp, freqs) of n_states states, as _coherence_spectrum gives
     them; states holds one (halves, rows, n_states * columns) amplitude
     array per group, reduced at once to row dot products.  The halves'
@@ -562,7 +564,7 @@ def _spectra(thermal: tuple, states, n_states: int, solver: SolverOptions) -> li
     for s in range(n_states):
         np.add.at(amp[s], targets, coh[s])
     for total in norm:
-        _check_drift(total, solver)
+        _check_drift(total)
     return [(dc[s], amp[s], freqs) for s in range(n_states)]
 
 
@@ -597,7 +599,7 @@ def _impulsive_values(
                 xs.append(_rotate(v.transpose(0, 2, 1), np.exp(-1j * dtau * om)[..., None] * w1))
                 yield w1
 
-        s1 = _spectra(thermal, first_kick(), 1, config.solver)[0]
+        s1 = _spectra(thermal, first_kick(), 1)[0]
         cache["first"] = ((k1, dtau), s1, xs)
     _, s1, xs = cache["first"]
     window = (t_a, t_b, isolate, times.tobytes())
@@ -620,7 +622,7 @@ def _impulsive_values(
                 * (np.concatenate([x, vt_w], axis=2) if isolate else x))
         for (*_, lam, v, _, vt_w), x in zip(groups, xs)
     )
-    s12, *s2 = _spectra(thermal, second_kick, n, config.solver)
+    s12, *s2 = _spectra(thermal, second_kick, n)
     full = trace(s12, head)
     if not isolate:
         return full

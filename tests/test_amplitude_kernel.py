@@ -26,6 +26,7 @@ from rotecho import (
     scan_p2,
     two_pulse_config,
 )
+from rotecho import propagate
 from rotecho.basis import MBlockDensityMatrix, _thermal_populations
 from rotecho.echo import _trace_values
 from rotecho.propagate import _impulsive_values, _piecewise, _rotate, _sample_times
@@ -91,12 +92,13 @@ def test_gaussian_configs_keep_the_density_matrix_path():
     assert np.array_equal(_trace_values(cfg, basis, {}, True), isolated)
 
 
-def test_trace_drift_guard_covers_impulsive_runs():
+def test_trace_drift_guard_covers_impulsive_runs(monkeypatch):
     # gaussian runs take the factored pulse kernel inside run_pulse_sequence
+    monkeypatch.setattr(propagate, "TRACE_TOL", 1e-300)
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=30.0)
     dtau = 0.125 * revival_period(mol)
     for shape in ("impulsive", "gaussian"):
-        cfg = two_pulse_config(mol, 0.5, 1.0, dtau, shape=shape, solver=SolverOptions(trace_tol=1e-300))
+        cfg = two_pulse_config(mol, 0.5, 1.0, dtau, shape=shape)
         with pytest.raises(ToleranceError, match="trace drift"):
             run_two_pulse(cfg)
         with pytest.raises(ToleranceError, match="trace drift"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotecho import (
+    AlignmentTrace,
     BeamGeometry,
     EchoCurve,
     EchoMeasurement,
@@ -31,7 +32,7 @@ from rotecho import (
     two_pulse_config,
 )
 from rotecho import echo
-from rotecho.propagate import TRACE_TAIL_FRACTION
+from rotecho.propagate import TRACE_TAIL_FRACTION, _sample_times
 
 # cold ensemble: same spectrum, far fewer levels, so engine-backed
 # tests run in milliseconds
@@ -140,13 +141,69 @@ def test_scan_captures_window_failures():
     assert len(curve) == 1
     assert len(curve.failures) == 1
     assert curve.failures[0][0] == pytest.approx(0.005 * TREV)
-    # a window running past the trace's end fails at extraction, after the
-    # point's samples were evaluated, and still comes back as a failure
+    # a window running past the trace's end fails when the point is placed,
+    # before any of its samples is evaluated, and comes back as a failure
     dtau = 0.2 * TREV
     wide = scan_dtau(np.array([dtau]), 0.5, 0.3, base, window_halfwidth=0.1 * TREV)
     assert len(wide) == 0
     ((value, message),) = wide.failures
     assert value == dtau and "outside the trace" in message
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
+    # 0.08*T_rev reaches past the trace's 0.06*T_rev tail, and at T/8 the
+    # guard clips nothing; forked pool workers inherit the patched evaluator
+    def no_shell(*args):
+        raise AssertionError("a shell ran for a point whose window cannot fit")
+
+    monkeypatch.setattr(echo, "_trace_values", no_shell)
+    dtau, w = 0.125 * TREV, 0.08 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    grid = [0.4, 0.8, 1.2]
+    curve = averaged_scan_p2(grid, 0.5, dtau, BeamGeometry(30.0, 15.0, 4), base,
+                             window_halfwidth=w, workers=workers)
+    assert len(curve) == 0
+    messages = []
+    for p2 in grid:
+        nominal = two_pulse_config(COLD, 0.5, p2, dtau, j_max=24)
+        times = _sample_times(nominal)
+        with pytest.raises(WindowError, match="outside the trace") as exc:
+            extract_secho(AlignmentTrace(times, np.zeros(times.size), nominal), dtau, w)
+        messages.append((p2, str(exc.value)))
+    assert list(curve.failures) == messages
+
+
+def test_scan_places_each_window_once(monkeypatch):
+    windows, shells = [], []
+    window, trace_values = echo._window, echo._trace_values
+
+    def placing(*args):
+        windows.append(args[3])
+        return window(*args)
+
+    def counting(config, *rest):
+        shells.append(config.pulses[1].kick)
+        return trace_values(config, *rest)
+
+    monkeypatch.setattr(echo, "_window", placing)
+    monkeypatch.setattr(echo, "_trace_values", counting)
+    dtau = 0.125 * TREV
+    grid = [0.3, 0.6, 0.9, 1.2]
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    curve = averaged_scan_p2(grid, 0.5, dtau, BeamGeometry(30.0, 15.0, 3), base)
+    assert len(curve) == 4
+    assert windows == [dtau] * 4
+    assert len(shells) == 3 * 4
+
+
+@pytest.mark.parametrize("shape", ["impulsive", "gaussian"])
+def test_scan_points_end_their_traces_where_two_pulse_config_does(shape):
+    for frac in (0.03, 0.125, 0.2):
+        dtau = frac * TREV
+        template = two_pulse_config(COLD, 0.5, 1.0, 0.1 * TREV, shape=shape)
+        assert (two_pulse_config(COLD, 0.7, 0.3, dtau, shape=shape).t_end
+                == echo._point_config(template, 0.7, 0.3, dtau).t_end)
 
 
 def test_scan_p2_parallel_matches_serial():
@@ -334,30 +391,43 @@ def test_point_config_keeps_both_pulse_shapes_of_the_template():
 
 
 def test_master_curve_skips_trial_factors_that_leave_too_few_points(monkeypatch):
-    # the reference spans only [3, 6]; trial factors below about 0.45 push
-    # the narrow curve's upper points past 6, leaving fewer than 6 in span
+    # the reference spans only [3, 6]; trial factors below about 0.43 push
+    # the narrow curve's upper points past 6, leaving fewer than 6 in span,
+    # and the search tries only factors that can keep 6
     import scipy.optimize
 
-    minimize_scalar, misfits = scipy.optimize.minimize_scalar, []
+    minimize_scalar, tried = scipy.optimize.minimize_scalar, []
 
     def recording(fun, **kwargs):
         def traced(f):
-            misfits.append(fun(f))
-            return misfits[-1]
+            tried.append((f, fun(f)))
+            return tried[-1][1]
         return minimize_scalar(traced, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "minimize_scalar", recording)
     a = 1.0e-3
     wide = _sin2_curve(a, 0.4, np.linspace(3.0, 6.0, 16))
-    narrow = _sin2_curve(a, 0.8, np.linspace(1.5, 3.0, 8))
-    result = master_curve_check([wide, narrow])
-    assert 1e9 in misfits
+    x = np.linspace(1.5, 3.0, 8)
+    result = master_curve_check([wide, _sin2_curve(a, 0.8, x)])
+    assert tried
+    assert all(np.count_nonzero((x / f >= 3.0) & (x / f <= 6.0)) >= 6 for f, _ in tried)
+    assert all(misfit < 1e9 for _, misfit in tried)
     assert result.factors == (1.0, pytest.approx(0.5, rel=1e-3))
     # the 6 points span a ratio of 4.8, the reference 3: no factor keeps all 6
     sparse = _sin2_curve(a, 0.8, np.linspace(0.5, 2.4, 6))
     with pytest.raises(FitError, match=r"^curve 1 keeps only [0-5] points inside "
                        r"the reference span after rescaling$"):
         master_curve_check([_sin2_curve(a, 0.4, np.linspace(2.0, 6.0, 12)), sparse])
+
+
+def test_master_curve_finds_a_collapse_that_keeps_few_points_in_span():
+    # only factors near 0.5 keep 6 of the 8 narrow points inside [2, 6]; the
+    # residual's floor is the 12-point reference's linear interpolation, 3.0e-3
+    a = 1.0e-3
+    reference = _sin2_curve(a, 0.4, np.linspace(2.0, 6.0, 12))
+    result = master_curve_check([reference, _sin2_curve(a, 0.8, np.linspace(0.5, 2.4, 8))])
+    assert result.factors == (1.0, pytest.approx(0.5, rel=1e-3))
+    assert result.residual < 5e-3
 
 
 def test_master_curve_rejects_mismatched_p1():
@@ -384,18 +454,18 @@ def test_find_optimal_p2_measures_the_coarse_grid_only_up_to_the_bracket(monkeyp
     # every p2 is measured once, and the coarse points are the grid's prefix
     # that ends at the first point closing an interior maximum of |s|
     measured, evaluations = [], []
-    node_values, echo_point = echo._node_values, echo._echo_point
+    trace_values, echo_point = echo._trace_values, echo._echo_point
 
-    def counting(*args):
-        evaluations.append(args[2])
-        return node_values(*args)
+    def counting(config, *rest):
+        evaluations.append(config.pulses[1].kick)
+        return trace_values(config, *rest)
 
-    def recording(base, p1, p2, dtau, *rest):
-        point = echo_point(base, p1, p2, dtau, *rest)
-        measured.append((p2, abs(point.s_echo)))
+    def recording(*args):
+        point = echo_point(*args)
+        measured.append((point.p2_kick, abs(point.s_echo)))
         return point
 
-    monkeypatch.setattr(echo, "_node_values", counting)
+    monkeypatch.setattr(echo, "_trace_values", counting)
     monkeypatch.setattr(echo, "_echo_point", recording)
     dtau = 0.125 * TREV
     find_optimal_p2(dtau, 0.5, two_pulse_config(COLD, 0.5, 1.0, dtau), SearchParams(p2_max=8.0))

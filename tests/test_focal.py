@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from rotecho import (
     EchoMeasurement,
     MoleculeSpec,
     RotorBasis,
-    SolverOptions,
     ToleranceError,
     WindowError,
     averaged_scan_p2,
@@ -218,14 +218,16 @@ def _per_point_curve(grid, p1, dtau, geom, base):
     fails=st.sampled_from([None, None, None, "drift", "window"]),
 )
 def test_node_major_scan_equals_per_point_evaluation(n_shells, grid, workers, probe, fails):
-    # a drift guard no trace can meet fails every point at its first node;
-    # a separation inside the window guard fails every point before any node runs
-    solver = SolverOptions(trace_tol=1e-300) if fails == "drift" else SolverOptions()
+    # a drift guard no trace can meet fails every point at its first node
+    # (forked pool workers inherit the patched guard); a separation inside
+    # the window guard fails every point before any node runs
+    tol = 1e-300 if fails == "drift" else propagate.TRACE_TOL
     dtau = 0.011 * TREV if fails == "window" else DTAU
-    base = two_pulse_config(COLD, 0.3, max(grid), dtau, j_max=24, solver=solver)
+    base = two_pulse_config(COLD, 0.3, max(grid), dtau, j_max=24)
     geom = BeamGeometry(30.0, probe, n_shells=n_shells)
-    curve = averaged_scan_p2(grid, 0.3, dtau, geom, base, workers=workers)
-    assert curve == _per_point_curve(grid, 0.3, dtau, geom, base)
+    with patch.object(propagate, "TRACE_TOL", tol):
+        curve = averaged_scan_p2(grid, 0.3, dtau, geom, base, workers=workers)
+        assert curve == _per_point_curve(grid, 0.3, dtau, geom, base)
     assert len(curve.points) + len(curve.failures) == len(grid)
 
 
@@ -234,9 +236,9 @@ def test_serial_averaged_scan_builds_each_shell_first_pulse_once(monkeypatch):
     states = []
     spectra = propagate._spectra
 
-    def counting(thermal, columns, n_states, solver):
+    def counting(thermal, columns, n_states):
         states.append(n_states)
-        return spectra(thermal, columns, n_states, solver)
+        return spectra(thermal, columns, n_states)
 
     monkeypatch.setattr(propagate, "_spectra", counting)
     grid = [0.2, 0.4, 0.6, 0.8]
