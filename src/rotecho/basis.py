@@ -71,12 +71,12 @@ class MoleculeSpec:
         return self.weight_even if j % 2 == 0 else self.weight_odd
 
 
-def rotational_energy(j: int, molecule: MoleculeSpec) -> float:
-    """Level energy as an angular frequency, rad/ps.
+def rotational_energy(j, molecule: MoleculeSpec):
+    """Level energy as an angular frequency, rad/ps, for J an int or an int array.
 
     E_J/hbar = 2*pi*c*B*J*(J+1).
     """
-    if j < 0:
+    if np.min(j) < 0:
         raise ValueError("J must be non-negative")
     return RAD_PS_PER_CM * molecule.b_cm * j * (j + 1)
 
@@ -180,8 +180,7 @@ class RotorBasis:
 
     def omegas(self, molecule: MoleculeSpec) -> np.ndarray:
         """Level angular frequencies w_J for J = 0 .. j_max, rad/ps."""
-        js = np.arange(self.j_max + 1)
-        return RAD_PS_PER_CM * molecule.b_cm * js * (js + 1.0)
+        return rotational_energy(np.arange(self.j_max + 1), molecule)
 
 
 @dataclass(frozen=True)
@@ -238,23 +237,16 @@ class MBlockDensityMatrix:
         )
 
 
-def boltzmann_exponents(molecule: MoleculeSpec, j_values: np.ndarray) -> np.ndarray:
-    """E_J/(k_B T) for the given J values (dimensionless)."""
-    if molecule.temperature_k == 0.0:
-        raise ValueError("undefined at zero temperature")
-    jv = np.asarray(j_values, dtype=float)
-    return CM_KELVIN * molecule.b_cm * jv * (jv + 1.0) / molecule.temperature_k
-
-
 def _level_weights(molecule: MoleculeSpec, j_max: int) -> np.ndarray:
-    """Unnormalized per-(J, m) thermal weights for J = 0 .. j_max."""
+    """Unnormalized per-(J, m) thermal weights for J = 0 .. j_max: the spin
+    weight times exp(-E_J/(k_B T)), or 1 on the lowest allowed level at 0 K."""
     js = np.arange(j_max + 1)
     spin = np.where(js % 2 == 0, molecule.weight_even, molecule.weight_odd)
     if molecule.temperature_k == 0.0:
         w = np.zeros(j_max + 1)
         w[int(js[spin > 0][0])] = 1.0
         return w
-    return spin * np.exp(-boltzmann_exponents(molecule, js))
+    return spin * np.exp(-(CM_KELVIN * molecule.b_cm * js * (js + 1) / molecule.temperature_k))
 
 
 def _thermal_populations(molecule: MoleculeSpec, j_max: int, truncation_tol: float) -> np.ndarray:

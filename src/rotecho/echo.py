@@ -403,15 +403,15 @@ def _openblas_threads():
     return get, set_threads
 
 
-def _init_worker(j_max: int, workers: int) -> None:
-    """Set up a pool worker: its basis, an empty cache, and no more BLAS
-    threads than its share of the cores (never more than it had)."""
+def _init_worker(basis: RotorBasis, workers: int) -> None:
+    """Set up a pool worker: the parent's basis, an empty cache, and no more
+    BLAS threads than its share of the cores (never more than it had)."""
     global _worker
     blas = _openblas_threads()
     if blas is not None:
         get, set_threads = blas
         set_threads(min(get(), max(1, (os.cpu_count() or 1) // workers)))
-    _worker = (RotorBasis(j_max), {})
+    _worker = (basis, {})
 
 
 def _worker_task(task: tuple | str) -> np.ndarray | str:
@@ -440,12 +440,14 @@ def _run_scan(
     workers, else single values, and no more workers than chunks.  Points
     and failures come back in task order, a failure with its axis value
     and its first failing node's message.  Each window is placed once, before
-    any node runs: a point whose window cannot fit runs no node.
+    any node runs: a point whose window cannot fit runs no node.  The basis
+    is built once, here, only if a node runs; pool workers inherit it.
     """
     # Plain scans stay on the density-matrix reference path, whose exact
     # call counts bench/test_bench.py pins; averaged scans take the kernel.
     kernel = nodes is not _PLAIN_NODES
-    j_common = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
+    # sized before any window is placed, so dtau <= 0 raises rather than fails points
+    j_max = basis.j_max if basis is not None else _scan_jmax(base, [t[1:] for t in tasks])
     windows = []
     for _, p1, p2, d in tasks:
         try:
@@ -458,17 +460,18 @@ def _run_scan(
     ]
     chunk = len(tasks) if len(nodes) >= workers else 1
     workers = min(workers, len(jobs) // chunk)
-    if workers > 1:
-        _openblas_threads()  # looked up before the workers fork
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(j_common, workers)
-        ) as pool:
-            results = list(pool.map(_worker_task, jobs, chunksize=chunk))
-    else:
-        if basis is None:
-            basis = RotorBasis(j_common)
-        cache: dict = {}
-        results = [_node_task(job, basis, cache) for job in jobs]
+    results = jobs  # every job a placement message: nothing to run
+    if any(isinstance(job, tuple) for job in jobs):
+        basis = basis if basis is not None else RotorBasis(j_max)
+        if workers > 1:
+            _openblas_threads()  # looked up before the workers fork
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(basis, workers)
+            ) as pool:
+                results = list(pool.map(_worker_task, jobs, chunksize=chunk))
+        else:
+            cache: dict = {}
+            results = [_node_task(job, basis, cache) for job in jobs]
     out = []
     for i, ((ax, *_, d), window) in enumerate(zip(tasks, windows)):
         node_values = results[i :: len(tasks)]

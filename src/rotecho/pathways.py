@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .basis import (
     MoleculeSpec,
-    boltzmann_exponents,
+    _level_weights,
     cos2theta_element,
     revival_period,
     rotational_energy,
@@ -69,6 +68,11 @@ def _apply_step(state: tuple[int, int], step: RamanStep) -> tuple[int, int]:
     return (j_ket, j_bra + step.delta_j)
 
 
+def _replay(start: int, steps) -> list[tuple[int, int]]:
+    """Every element a step sequence visits from the population (start, start)."""
+    return list(accumulate(steps, _apply_step, initial=(start, start)))
+
+
 @dataclass(frozen=True)
 class Pathway:
     """A (1, 2)-budget step sequence from a population to a coherence.
@@ -89,11 +93,7 @@ class Pathway:
         pulses = tuple(s.pulse for s in self.steps)
         if pulses != (1, 2, 2):
             raise ValueError("budget is one first-pulse step then two second-pulse steps")
-        state = (self.start, self.start)
-        visited = [state]
-        for step in self.steps:
-            state = _apply_step(state, step)
-            visited.append(state)
+        visited = _replay(self.start, self.steps)
         if visited[1] != tuple(self.intermediate):
             raise ValueError("intermediate does not match the replayed first step")
         if visited[-1] != tuple(self.final):
@@ -136,26 +136,22 @@ def enumerate_pathways(
     excluded (see the module docstring); an unreachable target yields
     an empty list rather than an error.
     """
-    floor = max(0, j_min)
     tgt = (operator.index(target[0]), operator.index(target[1]))
     if min(tgt) < 0:
         raise ValueError("target J values must be non-negative")
+    lo, hi = max(0, j_min), (math.inf if j_max is None else j_max)
 
     def moves(state: tuple[int, int], pulse: int):
         for side in _SIDES:
             for dj in _DELTAS:
                 step = RamanStep(pulse=pulse, side=side, delta_j=dj)
                 nxt = _apply_step(state, step)
-                moved = nxt[0] if side == "ket" else nxt[1]
-                if moved < floor:
-                    continue
-                if j_max is not None and moved > j_max:
-                    continue
-                yield nxt, step
+                if lo <= min(nxt) and max(nxt) <= hi:
+                    yield nxt, step
 
     found: list[Pathway] = []
     for j0 in _as_population_list(start):
-        if j0 < floor or (j_max is not None and j0 > j_max):
+        if not lo <= j0 <= hi:
             raise ValueError(f"start population J = {j0} is outside the basis")
         for mid, step1 in moves((j0, j0), 1):
             if mid == tgt:
@@ -174,6 +170,12 @@ def enumerate_pathways(
     return found
 
 
+def _phase(coherence: tuple[int, int], dtau: float, molecule: MoleculeSpec) -> float:
+    """Unwrapped phi = (omega_ket - omega_bra) * dtau of a coherence."""
+    j_ket, j_bra = coherence
+    return (rotational_energy(j_ket, molecule) - rotational_energy(j_bra, molecule)) * dtau
+
+
 def coherence_phase(
     coherence: tuple[int, int], dtau: float, molecule: MoleculeSpec
 ) -> float:
@@ -183,13 +185,9 @@ def coherence_phase(
     propagator applies as exp(-i*phi).  Populations give exactly zero
     and conjugate coherences give opposite signs.
     """
-    j_ket, j_bra = coherence
-    if j_ket < 0 or j_bra < 0:
+    if min(coherence) < 0:
         raise ValueError("J values must be non-negative")
-    phi = (
-        rotational_energy(j_ket, molecule) - rotational_energy(j_bra, molecule)
-    ) * dtau
-    return math.remainder(phi, 2.0 * math.pi)
+    return math.remainder(_phase(coherence, dtau, molecule), 2.0 * math.pi)
 
 
 def pathway_phase_difference(
@@ -207,14 +205,8 @@ def pathway_phase_difference(
     """
     if tuple(path_a.final) != tuple(path_b.final):
         raise ValueError("pathways do not share a target coherence")
-
-    def accumulated(path: Pathway) -> float:
-        j_ket, j_bra = path.intermediate
-        return (
-            rotational_energy(j_ket, molecule) - rotational_energy(j_bra, molecule)
-        ) * dtau
-
-    return abs(accumulated(path_a) - accumulated(path_b))
+    phi_a, phi_b = (_phase(p.intermediate, dtau, molecule) for p in (path_a, path_b))
+    return abs(phi_a - phi_b)
 
 
 def predict_constructive_delays(molecule: MoleculeSpec, n_max: int) -> list[float]:
@@ -241,16 +233,13 @@ def pathway_weight(path: Pathway, molecule: MoleculeSpec, m: int = 0) -> float:
     a convenience for ranking sequences, not part of any contract.
     """
     m = abs(operator.index(m))
-    weight = molecule.spin_weight(path.start) * math.exp(
-        -float(boltzmann_exponents(molecule, np.array([path.start]))[0])
-    )
-    state = (path.start, path.start)
-    for step in path.steps:
-        nxt = _apply_step(state, step)
-        before = state[0] if step.side == "ket" else state[1]
-        after = nxt[0] if step.side == "ket" else nxt[1]
-        weight *= abs(cos2theta_element(before, after, m))
-        state = nxt
+    # J = start + 1 keeps both parities in range, as the 0 K ground level needs
+    weight = float(_level_weights(molecule, path.start + 1)[path.start])
+    visited = _replay(path.start, path.steps)
+    for before, after in zip(visited, visited[1:]):
+        # a step moves one side: the pair of that side is the unequal one
+        ((j, jp),) = [pair for pair in zip(before, after) if pair[0] != pair[1]]
+        weight *= abs(cos2theta_element(j, jp, m))
     return weight
 
 

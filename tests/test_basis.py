@@ -50,6 +50,15 @@ def test_energy_revival_product_is_pi_ladder(ocs, trev):
         )
 
 
+def test_level_energies_of_an_array_keep_the_scalar_bits(ocs):
+    js = np.arange(301)
+    energies = rotational_energy(js, ocs)
+    assert energies.tolist() == [rotational_energy(int(j), ocs) for j in js]
+    assert RotorBasis(300).omegas(ocs).tobytes() == energies.tobytes()
+    with pytest.raises(ValueError, match="non-negative"):
+        rotational_energy(np.array([2, -1]), ocs)
+
+
 def test_cos2_element_selection_rules():
     assert cos2theta_element(3, 7, 0) == 0.0
     assert cos2theta_element(2, 3, 1) == 0.0

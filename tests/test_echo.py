@@ -1,9 +1,11 @@
 """Echo layer: extraction, delay grids, scans, fits, master curve."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotecho import (
     AlignmentTrace,
@@ -153,11 +155,13 @@ def test_scan_captures_window_failures():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
     # 0.08*T_rev reaches past the trace's 0.06*T_rev tail, and at T/8 the
-    # guard clips nothing; forked pool workers inherit the patched evaluator
-    def no_shell(*args):
-        raise AssertionError("a shell ran for a point whose window cannot fit")
+    # guard clips nothing; with nothing to run, no basis is built and no
+    # pool starts (forked pool workers would inherit the patched evaluator)
+    def no_shell(*args, **kwargs):
+        raise AssertionError("a shell, basis or pool was set up for no placeable window")
 
-    monkeypatch.setattr(echo, "_trace_values", no_shell)
+    for name in ("_trace_values", "RotorBasis", "ProcessPoolExecutor"):
+        monkeypatch.setattr(echo, name, no_shell)
     dtau, w = 0.125 * TREV, 0.08 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
     grid = [0.4, 0.8, 1.2]
@@ -218,8 +222,47 @@ def test_scan_p2_parallel_matches_serial():
         scan_p2(grid, 0.5, 0.0, base, attach_fit=False)
 
 
+def test_pooled_scan_builds_its_basis_once_in_the_parent(monkeypatch):
+    # forked workers inherit the wrapper, so a build in a worker breaks the pool
+    parent, built = os.getpid(), []
+    init = echo.RotorBasis.__init__
+
+    def parent_only(self, j_max):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker built a basis")
+        built.append(j_max)
+        init(self, j_max)
+
+    monkeypatch.setattr(echo.RotorBasis, "__init__", parent_only)
+    dtau = 0.125 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    grid = [0.4, 0.8, 1.2]
+    curve = averaged_scan_p2(grid, 0.5, dtau, BeamGeometry(30.0, 15.0, 3), base, workers=2)
+    assert len(curve) == len(grid)
+    assert built == [24]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    j_max=st.integers(18, 24),
+    p1=st.floats(0.1, 1.5),
+    frac=st.floats(0.02, 0.48),
+    p2_grid=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=4, unique=True),
+    frac_grid=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True),
+)
+def test_pooled_plain_scans_equal_serial_ones(j_max, p1, frac, p2_grid, frac_grid):
+    base = two_pulse_config(COLD, p1, 1.0, frac * TREV, j_max=j_max)
+    for scan in (
+        lambda workers: scan_p2(p2_grid, p1, frac * TREV, base, attach_fit=False, workers=workers),
+        lambda workers: scan_dtau([f * TREV for f in frac_grid], p1, 1.0, base, workers=workers),
+    ):
+        serial, pooled = scan(1), scan(2)
+        assert pooled.points == serial.points
+        assert pooled.failures == serial.failures
+
+
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # a pool forks all its workers at the first submit, each building a basis
+    # a pool forks all its workers at the first submit, each a full process
     started = []
 
     class Recording(echo.ProcessPoolExecutor):

@@ -251,7 +251,9 @@ def test_serial_averaged_scan_builds_each_shell_first_pulse_once(monkeypatch):
 
 _POOLED_VS_SERIAL = """
 import os
-from rotecho import BeamGeometry, averaged_scan_p2, molecule_preset, revival_period, two_pulse_config
+from rotecho import (
+    BeamGeometry, RotorBasis, averaged_scan_p2, molecule_preset, revival_period, two_pulse_config,
+)
 from rotecho.echo import _init_worker, _openblas_threads
 ocs = molecule_preset("OCS")
 dtau = revival_period(ocs) / 8.0
@@ -262,7 +264,7 @@ assert averaged_scan_p2([2.0, 3.0], 1.0, dtau, geom, base, workers=2) == serial
 blas = _openblas_threads()
 if blas is not None:
     before = blas[0]()
-    _init_worker(2, 2)
+    _init_worker(RotorBasis(2), 2)
     assert blas[0]() == min(before, max(1, os.cpu_count() // 2))
 """
 

@@ -9,6 +9,7 @@ from rotecho import (
     Pathway,
     RamanStep,
     coherence_phase,
+    cos2theta_element,
     enumerate_pathways,
     pathway_phase_difference,
     pathway_table,
@@ -171,6 +172,32 @@ def test_weights_are_positive_annotations(ocs):
     paths = enumerate_pathways(4, (6, 4))
     weights = [pathway_weight(p, ocs) for p in paths]
     assert all(w > 0 for w in weights)
+    # pinned bits: the start level's weight is thermal_state's level weight
+    assert weights == [0.016143661107587907, 0.01571518186331467, 0.01571518186331467,
+                       0.016143661107587907, 0.016143661107587907]
+
+
+def element_product(path, m=0):
+    """Product of |<J|cos^2|J'>| over a pathway's steps, replayed here."""
+    state, product = [path.start, path.start], 1.0
+    for step in path.steps:
+        side = ("ket", "bra").index(step.side)
+        before = state[side]
+        state[side] += step.delta_j
+        product *= abs(cos2theta_element(before, state[side], m))
+    return product
+
+
+@pytest.mark.parametrize("weight_even, start, populated", [
+    (1.0, 0, True), (1.0, 2, False), (0.0, 1, True), (0.0, 0, False),
+])
+def test_weight_at_zero_temperature(weight_even, start, populated):
+    # only the lowest level the spin statistics allow is populated, with weight 1
+    cold = MoleculeSpec(b_cm=0.2034, temperature_k=0.0, weight_even=weight_even)
+    paths = enumerate_pathways(start, (start + 2, start))
+    assert paths
+    for p in paths:
+        assert pathway_weight(p, cold) == (element_product(p) if populated else 0.0)
 
 
 def test_weight_depends_on_m_sublevel(ocs):
@@ -250,6 +277,8 @@ def test_pathway_rejects_negative_levels():
 def test_enumeration_input_validation():
     with pytest.raises(ValueError, match="outside the basis"):
         enumerate_pathways(12, (14, 12), j_max=10)
+    with pytest.raises(ValueError, match="outside the basis"):
+        enumerate_pathways(2, (4, 2), j_min=4)
     with pytest.raises(ValueError, match="non-negative"):
         enumerate_pathways(2, (-2, 0))
     with pytest.raises(ValueError, match="at least one"):
