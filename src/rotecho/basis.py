@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TruncationError
+
 # c, h and k_B are exact by definition since the 2019 SI: scipy.constants
 # holds the same doubles, but importing it slows every CLI call's start
 _C_M_PER_S, _H, _KB = 299792458.0, 6.62607015e-34, 1.380649e-23
@@ -40,10 +42,6 @@ class MoleculeSpec:
 
     Attributes:
         b_cm: rotational constant B in 1/cm.
-        delta_alpha: polarizability anisotropy in arbitrary units.  It
-            enters the dynamics only through the dimensionless kick
-            strength of a pulse, so the value here is metadata that a
-            caller may use to convert pulse energies into kicks.
         temperature_k: rotational temperature in kelvin.
         weight_even: nuclear-spin statistical weight of even-J levels.
         weight_odd: nuclear-spin statistical weight of odd-J levels.
@@ -51,7 +49,6 @@ class MoleculeSpec:
     """
 
     b_cm: float
-    delta_alpha: float = 1.0
     temperature_k: float = 296.0
     weight_even: float = 1.0
     weight_odd: float = 1.0
@@ -67,8 +64,9 @@ class MoleculeSpec:
         if self.weight_even == 0.0 and self.weight_odd == 0.0:
             raise ValueError("at least one spin weight must be positive")
 
-    def spin_weight(self, j: int) -> float:
-        return self.weight_even if j % 2 == 0 else self.weight_odd
+    def spin_weight(self, j):
+        """Nuclear-spin weight of level J, for J an int or an int array."""
+        return np.where(np.asarray(j) % 2 == 0, self.weight_even, self.weight_odd)[()]
 
 
 def rotational_energy(j, molecule: MoleculeSpec):
@@ -241,7 +239,7 @@ def _level_weights(molecule: MoleculeSpec, j_max: int) -> np.ndarray:
     """Unnormalized per-(J, m) thermal weights for J = 0 .. j_max: the spin
     weight times exp(-E_J/(k_B T)), or 1 on the lowest allowed level at 0 K."""
     js = np.arange(j_max + 1)
-    spin = np.where(js % 2 == 0, molecule.weight_even, molecule.weight_odd)
+    spin = molecule.spin_weight(js)
     if molecule.temperature_k == 0.0:
         w = np.zeros(j_max + 1)
         w[int(js[spin > 0][0])] = 1.0
@@ -251,8 +249,6 @@ def _level_weights(molecule: MoleculeSpec, j_max: int) -> np.ndarray:
 
 def _thermal_populations(molecule: MoleculeSpec, j_max: int, truncation_tol: float) -> np.ndarray:
     """Per-(J, m) populations of thermal_state for J = 0 .. j_max."""
-    from .errors import TruncationError
-
     w = _level_weights(molecule, j_max)
     degeneracy = 2.0 * np.arange(j_max + 1) + 1.0
     z = float(np.sum(w * degeneracy))
@@ -311,10 +307,6 @@ def choose_jmax(
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must be in (0, 1)")
     margin = 4 * math.ceil(max_kick) + 8
-
-    if molecule.temperature_k == 0.0:
-        j_edge = 0 if molecule.weight_even > 0 else 1
-        return max(j_edge + margin, 10)
 
     # Extend the ladder until the tail mass has clearly converged.
     j_cap = 64

@@ -41,7 +41,6 @@ _KEYS = {
     "molecule": {
         "preset": (str.strip, None),
         "b_cm": (float, None),
-        "delta_alpha": (float, None),
         "temperature_k": (float, None),
         "weight_even": (float, None),
         "weight_odd": (float, None),

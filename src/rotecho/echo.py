@@ -39,7 +39,6 @@ import functools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,18 +281,16 @@ def _trace_values(
     """Isolated (or raw) trace of a two-pulse config on the ``select`` part
     of its grid.  With kernel, impulsive configs take the amplitude kernel,
     which evaluates only those samples; others run the density-matrix path
-    and cache the first-pulse-only trace, identical across a p2 scan."""
+    and cache the first-pulse-only trace by its config, shared by a p2 scan."""
     if kernel and all(p.shape == "impulsive" for p in config.pulses):
         times = _sample_times(config)[select]
         return _impulsive_values(config, basis, first_pulse_cache, isolate, times)
     values = run_two_pulse(config, basis=basis).values
     if isolate:
-        p1 = config.pulses[0]
-        key = (p1.kick, p1.shape, p1.duration_fwhm, config.t_end, config.dt_sample)
-        v1 = first_pulse_cache.get(key)
+        first = replace(config, pulses=config.pulses[:1])
+        v1 = first_pulse_cache.get(first)
         if v1 is None:
-            v1 = run_pulse_sequence(replace(config, pulses=config.pulses[:1]), basis=basis).values
-            first_pulse_cache[key] = v1
+            v1 = first_pulse_cache[first] = run_pulse_sequence(first, basis=basis).values
         v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
         # traces store alignment minus 1/3, so the cross term is a plain
         # difference and sits on the same zero baseline as any other trace
@@ -301,10 +298,7 @@ def _trace_values(
     return values[select]
 
 
-def run_isolated_echo(
-    config: ExperimentConfig,
-    basis: RotorBasis | None = None,
-) -> AlignmentTrace:
+def run_isolated_echo(config: ExperimentConfig) -> AlignmentTrace:
     """Two-pulse trace minus both single-pulse traces.
 
     Removes every term that depends on only one of the pulses (prompt
@@ -314,8 +308,7 @@ def run_isolated_echo(
     """
     if len(config.pulses) != 2:
         raise ValueError("isolation needs exactly two pulses")
-    if basis is None:
-        basis = RotorBasis(config.resolve_j_max())
+    basis = RotorBasis(config.resolve_j_max())
     return AlignmentTrace(_sample_times(config), _trace_values(config, basis, {}, True), config)
 
 
@@ -378,8 +371,8 @@ def _node_task(task: tuple | str, basis: RotorBasis, cache: dict) -> np.ndarray 
 
 
 # A pool worker's basis and first-pulse cache, set up when the scan's
-# pool starts and gone with it.  The cache key omits the molecule and the
-# solver, so the cache must never outlive one scan.
+# pool starts and gone with it.  The kernel's (k1, dtau) entry omits the
+# molecule and the solver, so the cache must never outlive one scan.
 _worker: tuple[RotorBasis, dict] | None = None
 
 
@@ -464,6 +457,8 @@ def _run_scan(
     if any(isinstance(job, tuple) for job in jobs):
         basis = basis if basis is not None else RotorBasis(j_max)
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             _openblas_threads()  # looked up before the workers fork
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(basis, workers)
@@ -491,7 +486,6 @@ def scan_dtau(
     window_halfwidth: float | None = None,
     isolate: bool = True,
     workers: int = 1,
-    basis: RotorBasis | None = None,
 ) -> EchoCurve:
     """Echo amplitude versus pulse separation at fixed kicks.
 
@@ -508,7 +502,7 @@ def scan_dtau(
         raise ValueError("separations must lie strictly inside (0, T_rev)")
     tasks = [(float(d), p1_kick, p2_kick, float(d)) for d in grid]
     points, failures = _run_scan(
-        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, basis
+        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, None
     )
     return EchoCurve("dtau", tuple(points), fit=None, failures=tuple(failures))
 

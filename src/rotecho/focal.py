@@ -77,8 +77,6 @@ def _gauss_jacobi_unit(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """
     diag = np.empty(n)
     diag[0] = beta / (beta + 2.0)
-    if n == 1:
-        return diag, np.ones(1)
     k = np.arange(1.0, n)
     diag[1:] = beta**2 / ((2.0 * k + beta) * (2.0 * k + beta + 2.0))
     off_sq = (

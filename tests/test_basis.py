@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotecho import (
+    MBlockDensityMatrix,
     MoleculeSpec,
     RotorBasis,
     TruncationError,
@@ -34,6 +35,8 @@ def test_spin_weights_alternate():
     assert mol.spin_weight(0) == 2.0
     assert mol.spin_weight(3) == 1.0
     assert mol.spin_weight(10) == 2.0
+    assert isinstance(mol.spin_weight(3), float)
+    assert mol.spin_weight(np.arange(5)).tolist() == [2.0, 1.0, 2.0, 1.0, 2.0]
 
 
 def test_revival_period_value(ocs):
@@ -207,3 +210,24 @@ def test_cos2_elements_keep_the_bits_of_python_int_arithmetic():
         for m in (0, 7, 399):
             assert cos2theta_element(j, j, m) == _scalar_cos2_element(j, j, m)
             assert cos2theta_element(j + 2, j, m) == _scalar_cos2_element(j, j + 2, m)
+
+
+_COLD = MoleculeSpec(b_cm=0.2034, temperature_k=30.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MoleculeSpec(b_cm=0.2, weight_odd=-1.0), "spin weights must be non-negative"),
+        (lambda: MBlockDensityMatrix(RotorBasis(2), _COLD, (np.eye(3),) * 2),
+         "one block per m = 0 .. j_max required"),
+        (lambda: MBlockDensityMatrix(RotorBasis(2), _COLD, (np.eye(3), np.eye(3), np.eye(1))),
+         "block m=1 must have shape (2, 2)"),
+        (lambda: choose_jmax(_COLD, -1.0), "max_kick must be non-negative"),
+        (lambda: choose_jmax(_COLD, 1.0, tolerance=1.0), "tolerance must be in (0, 1)"),
+    ],
+)
+def test_guard_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

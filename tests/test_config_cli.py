@@ -129,7 +129,6 @@ def test_explicit_molecule_roundtrip(tmp_path):
         [molecule]
         name = linear-test
         b_cm = 0.41
-        delta_alpha = 0.8
         temperature_k = 120.0
         weight_even = 2.0
         weight_odd = 1.0
@@ -337,6 +336,14 @@ def test_unknown_keys_are_rejected(tmp_path_factory, section, key):
     path = tmp_path_factory.getbasetemp() / "key.cfg"
     with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: unknown key")):
         _load_text(path, _with_line(section, f"{key} = 1"))
+
+
+def test_a_config_naming_delta_alpha_exits_2(tmp_path, capsys):
+    # the key was never read, so it is unknown like any other stray key
+    text = COLD_SIM.replace("name = OCS-cold\n", "name = OCS-cold\n    delta_alpha = 1.0\n")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "[molecule] delta_alpha: unknown key" in capsys.readouterr().err
 
 
 def test_readme_names_exactly_the_config_keys():
@@ -757,6 +764,17 @@ def test_opt_manifest_reports_the_basis_a_bracket_extension_grew(tmp_path, monke
     assert built == [84, 88, 92]
     assert len(read_csv(out / "optimal_p2.csv")[2]) == 2
     assert RunManifest.load(out / "manifest.json").parameters["j_max"] == 92
+
+
+def test_opt_reports_a_bracket_that_never_closes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, COLD_OPT.replace("p2_max = 4.0", "p2_max = 0.5"))
+    out = tmp_path / "opt"
+    assert cli.main(["opt", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "rotecho: numerical failure: no interior |s_echo| maximum below p2 = 1.25 "
+        "after 3 bracket extensions\n"
+    )
+    assert not out.exists()
 
 
 def test_opt_rejects_p2_axis(tmp_path):

@@ -1,7 +1,9 @@
 """Echo layer: extraction, delay grids, scans, fits, master curve."""
 
+import concurrent.futures
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rotecho import (
     AlignmentTrace,
     BeamGeometry,
+    BracketError,
     EchoCurve,
     EchoMeasurement,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from rotecho import (
     MoleculeSpec,
     PulseSpec,
     SearchParams,
+    Sin2Fit,
     WindowError,
     averaged_scan_p2,
     dtau_grid,
@@ -160,8 +164,9 @@ def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
     def no_shell(*args, **kwargs):
         raise AssertionError("a shell, basis or pool was set up for no placeable window")
 
-    for name in ("_trace_values", "RotorBasis", "ProcessPoolExecutor"):
+    for name in ("_trace_values", "RotorBasis"):
         monkeypatch.setattr(echo, name, no_shell)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_shell)
     dtau, w = 0.125 * TREV, 0.08 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
     grid = [0.4, 0.8, 1.2]
@@ -265,12 +270,12 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # a pool forks all its workers at the first submit, each a full process
     started = []
 
-    class Recording(echo.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(echo, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     dtau = 0.125 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau)
     # one node, two single-value chunks
@@ -282,21 +287,35 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert started == [2, 2]
 
 
-def test_pooled_scans_keep_their_first_pulse_traces_apart():
-    # the first-pulse cache key omits the molecule, and OCS at 30 K and at
-    # 296 K share every part of it; a cache that outlived one scan's pool
-    # (or one serial scan) would hand the second scan the first one's trace
+def _check_scans_keep_molecules_apart(scan):
+    # OCS at 30 K and at 296 K differ only in the molecule, which the
+    # kernel's (k1, dtau) first-pulse entry omits; a cache that outlived one
+    # scan's pool (or one serial scan) would hand the second scan the first
+    # one's trace
     grid = np.linspace(0.3, 2.1, 4)
     dtau = 0.125 * TREV
     configs = [
         two_pulse_config(mol, 0.5, 1.0, dtau)
         for mol in (COLD, MoleculeSpec(b_cm=0.2034, name="OCS"))
     ]
-    pooled = [scan_p2(grid, 0.5, dtau, cfg, attach_fit=False, workers=2) for cfg in configs]
-    serial = [scan_p2(grid, 0.5, dtau, cfg, attach_fit=False) for cfg in configs[::-1]][::-1]
+    pooled = [scan(grid, dtau, cfg, 2) for cfg in configs]
+    serial = [scan(grid, dtau, cfg, 1) for cfg in configs[::-1]][::-1]
     for p, s in zip(pooled, serial):
         assert p.s_values().tobytes() == s.s_values().tobytes()
     assert not np.allclose(pooled[0].s_values(), pooled[1].s_values())
+
+
+def test_pooled_scans_keep_their_first_pulse_traces_apart():
+    _check_scans_keep_molecules_apart(
+        lambda grid, dtau, cfg, workers: scan_p2(grid, 0.5, dtau, cfg, attach_fit=False, workers=workers)
+    )
+
+
+def test_pooled_averaged_scans_keep_their_first_pulse_traces_apart():
+    geometry = BeamGeometry(30.0, 15.0, 1)
+    _check_scans_keep_molecules_apart(
+        lambda grid, dtau, cfg, workers: averaged_scan_p2(grid, 0.5, dtau, geometry, cfg, workers=workers)
+    )
 
 
 def test_echo_curve_validation():
@@ -522,3 +541,59 @@ def test_find_optimal_p2_measures_the_coarse_grid_only_up_to_the_bracket(monkeyp
     closing = [i for i in range(1, k + 1) if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
     assert closing == [k]
     assert all(grid[k - 1] < p2 < grid[k + 1] for p2 in p2s[k + 2 :])
+
+
+def test_find_optimal_p2_reports_a_bracket_that_never_closes():
+    # at T/8 the cold echo still rises past p2 = 1.25, where the third
+    # extension of a coarse grid over (0, 0.5] ends
+    dtau = 0.125 * TREV
+    with pytest.raises(BracketError) as exc:
+        find_optimal_p2(dtau, 0.5, two_pulse_config(COLD, 0.5, 1.0, dtau), SearchParams(p2_max=0.5))
+    assert str(exc.value) == "no interior |s_echo| maximum below p2 = 1.25 after 3 bracket extensions"
+
+
+def _p2_points(values):
+    return tuple(
+        EchoMeasurement(dtau=10.0, p1_kick=1.0, p2_kick=0.1 * (i + 1), s_echo=s, t_max=19.8, t_min=20.2)
+        for i, s in enumerate(values)
+    )
+
+
+_T8 = two_pulse_config(COLD, 0.5, 1.0, 0.125 * TREV, j_max=24)
+_LOBE = EchoCurve("p2_kick", _p2_points([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: dtau_grid(COLD, 0.1 * TREV, 0.2 * TREV, 1), ValueError,
+         "need at least two grid points"),
+        (lambda: scan_dtau([], 0.5, 1.0, _T8), ValueError, "empty separation grid"),
+        (lambda: scan_dtau([TREV], 0.5, 1.0, _T8), ValueError,
+         "separations must lie strictly inside (0, T_rev)"),
+        (lambda: extract_secho(run_two_pulse(_T8), 0.125 * TREV, 1e-3), WindowError,
+         "window contains fewer than 3 samples"),
+        (lambda: run_isolated_echo(replace(_T8, pulses=_T8.pulses[:1])), ValueError,
+         "isolation needs exactly two pulses"),
+        (lambda: EchoCurve("dtau", (), fit=Sin2Fit(1.0, 1.0, 0.0, 6)), ValueError,
+         "fits only attach to p2 scans"),
+        (lambda: fit_sin2(EchoCurve("dtau", ())), ValueError, "sin2 fit applies to p2 scans"),
+        (lambda: fit_sin2(EchoCurve("p2_kick", _p2_points([0.0] * 6))), FitError,
+         "first lobe has no positive amplitude to fit"),
+        (lambda: SearchParams(p2_max=0.0), ValueError, "p2_max must be positive"),
+        (lambda: SearchParams(rel_tol=1.0), ValueError, "rel_tol must be in (0, 1)"),
+        (lambda: master_curve_check([_LOBE]), ValueError, "need at least two curves"),
+        (lambda: master_curve_check([_LOBE, EchoCurve("dtau", ())]), ValueError,
+         "master-curve check applies to p2 scans"),
+        (lambda: master_curve_check([_LOBE, EchoCurve("p2_kick", _LOBE.points[:5])]), ValueError,
+         "each curve needs at least 6 points"),
+        (lambda: master_curve_check([EchoCurve("p2_kick", _p2_points([0.0] * 6)), _LOBE]), ValueError,
+         "reference curve is flat"),
+        (lambda: fit_decay([(5.0, 1e-3), (8.0, -1e-3), (11.0, 0.0), (14.0, -2e-3)]), FitError,
+         "need at least two positive amplitudes"),
+    ],
+)
+def test_guard_messages(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

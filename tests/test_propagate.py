@@ -23,7 +23,8 @@ from rotecho import (
     two_pulse_config,
 )
 from rotecho.basis import MBlockDensityMatrix
-from rotecho.propagate import with_substeps
+from rotecho.errors import ToleranceError
+from rotecho.propagate import HERM_TOL, _check_drift, with_substeps
 
 COLD = MoleculeSpec(b_cm=0.2034, temperature_k=30.0, name="OCS-cold")
 
@@ -264,3 +265,38 @@ def _single_pulse_config(molecule, pulse, *, t_end, dt_sample, j_max):
         dt_sample=dt_sample,
         j_max=j_max,
     )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PulseSpec(t0=0.0, kick=-0.1), ValueError, "kick must be non-negative"),
+        (lambda: PulseSpec(t0=0.0, kick=1.0, shape="square"), ValueError,
+         "shape must be one of ('gaussian', 'impulsive')"),
+        (lambda: PulseSpec(t0=0.0, kick=1.0, duration_fwhm=0.0), ValueError,
+         "duration_fwhm must be positive"),
+        (lambda: SolverOptions(substeps=0), ValueError, "substeps must be at least 1"),
+        (lambda: ExperimentConfig(COLD, (), 10.0, 0.1), ValueError, "at least one pulse required"),
+        (lambda: ExperimentConfig(COLD, (PulseSpec(2.0, 1.0), PulseSpec(1.0, 1.0)), 10.0, 0.1),
+         ValueError, "pulses must be ordered by t0"),
+        (lambda: ExperimentConfig(COLD, (PulseSpec(2.0, 1.0),), 2.0, 0.1), ValueError,
+         "t_end must lie past the last pulse"),
+        (lambda: ExperimentConfig(COLD, (PulseSpec(2.0, 1.0),), 10.0, 0.0), ValueError,
+         "dt_sample must be positive"),
+        (lambda: ExperimentConfig(COLD, (PulseSpec(2.0, 1.0),), 10.0, 0.1, j_max=1), ValueError,
+         "j_max must be at least 2"),
+        (lambda: two_pulse_config(COLD, 0.5, 0.5, 0.0), ValueError, "dtau must be positive"),
+        (lambda: impulsive_kick(thermal_state(COLD, RotorBasis(24), 1e-2), -1.0), ValueError,
+         "kick must be non-negative"),
+        (lambda: AlignmentTrace(np.zeros(3), np.zeros(2), two_pulse_config(COLD, 0.5, 0.5, 1.0)),
+         ValueError, "times and values must have equal length"),
+        (lambda: _check_drift(1.0, 1.0), ToleranceError,
+         f"hermiticity defect 1.000e+00 exceeds {HERM_TOL:.1e}"),
+        (lambda: run_pulse_sequence(two_pulse_config(COLD, 0.5, 0.5, 0.1, shape="gaussian", j_max=24)),
+         ValueError, "pulse windows overlap; increase the delay"),
+    ],
+)
+def test_guard_messages(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -3,14 +3,20 @@
 A settable value is a parameter with a default on a public module-level
 function, a parameter with a default on a public method (``__init__``
 left out), or a dataclass field with a default or ``default_factory``.
+A run config's keys and the command line's options are counted apart.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
 
+from rotecho import cli, config
+
 MODULES = ("basis", "propagate", "echo", "focal", "pathways", "config", "runio", "cli")
-MAX_SETTABLE = 56
+MAX_SETTABLE = 53
+MAX_CONFIG_KEYS = 30
+MAX_CLI_OPTIONS = 21
 
 
 def defaulted(function, owner):
@@ -43,3 +49,29 @@ def test_settable_values_do_not_grow():
     found = settable_values()
     assert len(found) == len(set(found))
     assert len(found) <= MAX_SETTABLE, found
+
+
+def config_keys():
+    return [f"[{section}] {key}" for section, keys in config._KEYS.items() for key in keys]
+
+
+def cli_options():
+    """Every option of the parser and of its subcommands, ``--help`` left out."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for prefix, p in [("", parser), *((f"{verb} ", p) for verb, p in sub.choices.items())]:
+        found += [prefix + a.option_strings[-1] for a in p._actions
+                  if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    return found
+
+
+def test_config_keys_do_not_grow():
+    found = config_keys()
+    assert len(found) <= MAX_CONFIG_KEYS, found
+
+
+def test_cli_options_do_not_grow():
+    found = cli_options()
+    assert len(found) == len(set(found))
+    assert len(found) <= MAX_CLI_OPTIONS, found
