@@ -124,24 +124,18 @@ def cos2theta_element(j: int, jp: int, m: int) -> float:
 class RotorBasis:
     """Truncated |J, m> basis with per-m blocks, J = |m| .. j_max.
 
-    Instances are read-only and shared by identity: all stored arrays
-    are marked read-only, so a basis can be shared freely between scans.
-    Eigendecompositions of the coupling blocks are cached lazily; they
-    are what makes repeated pulse applications cheap.
+    A basis stores no coupling matrix, only what its readers read, each
+    computed on first use and kept read-only: the two bands of each
+    coupling block and the eigensystems of its J-parity halves.  The
+    eigensystems make repeated pulse applications cheap, and read-only
+    caches let scans share a basis.
     """
 
     def __init__(self, j_max: int):
         if j_max < 2:
             raise ValueError("j_max must be at least 2")
         self.j_max = int(j_max)
-        self._cos2_blocks: list[np.ndarray] = []
-        for m in range(self.j_max + 1):
-            j = np.arange(m, self.j_max + 1, dtype=np.int64)
-            block = np.diag(_cos2_diagonal(j, m))
-            idx = np.arange(j.size - 2)
-            block[idx, idx + 2] = block[idx + 2, idx] = _cos2_offdiagonal(j[:-2], m)
-            block.setflags(write=False)
-            self._cos2_blocks.append(block)
+        self._band_cache: dict[int, tuple] = {}
         self._eig_cache: dict[int, tuple] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -154,9 +148,25 @@ class RotorBasis:
         """J quantum numbers carried by block m."""
         return np.arange(m, self.j_max + 1)
 
+    def _cos2_bands(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal and the Delta-J = 2 band of cos2_block(m)."""
+        if m not in self._band_cache:
+            j = np.arange(m, self.j_max + 1, dtype=np.int64)
+            bands = (_cos2_diagonal(j, m), _cos2_offdiagonal(j[:-2], m))
+            for a in bands:
+                a.setflags(write=False)
+            self._band_cache[m] = bands
+        return self._band_cache[m]
+
     def cos2_block(self, m: int) -> np.ndarray:
-        """cos^2(theta) restricted to block m (real symmetric, banded)."""
-        return self._cos2_blocks[m]
+        """cos^2(theta) restricted to block m (real symmetric, banded),
+        built from the bands, read-only, on each call."""
+        diag, off = self._cos2_bands(m)
+        block = np.diag(diag)
+        idx = np.arange(off.size)
+        block[idx, idx + 2] = block[idx + 2, idx] = off
+        block.setflags(write=False)
+        return block
 
     def cos2_eigensystem(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and orthonormal eigenvectors of cos2_block(m),
@@ -170,7 +180,8 @@ class RotorBasis:
         """Eigensystems of the J-parity halves of cos2_block(m), rows 0::2
         and 1::2 (cos^2 never mixes J parity); half 1 is empty at m = j_max."""
         if m not in self._eig_cache:
-            halves = tuple(np.linalg.eigh(self._cos2_blocks[m][h::2, h::2]) for h in (0, 1))
+            block = self.cos2_block(m)
+            halves = tuple(np.linalg.eigh(block[h::2, h::2]) for h in (0, 1))
             for a in (a for half in halves for a in half):
                 a.setflags(write=False)
             self._eig_cache[m] = halves

@@ -216,7 +216,6 @@ def _scan_parameters(settings, resolved_jmax: int) -> dict:
         "stop": scan.stop,
         "count": scan.count,
         "units": scan.units,
-        "isolate": scan.isolate,
         "averaged": scan.averaged,
         "p1_kick": settings.p1_kick,
         "j_max": resolved_jmax,
@@ -240,21 +239,15 @@ def _scan_parameters(settings, resolved_jmax: int) -> dict:
 def _cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     settings, digest, base = _load(args)
-    if settings.scan is None:
-        raise ConfigError("the scan command needs a [scan] section in the config")
-    scan = settings.scan
     grid = np.asarray(settings.scan_grid())
+    scan = settings.scan
     # pin the grid-wide j_max the scan runs at, so the manifest reports it
     p1, p2, dtau = settings.p1_kick, settings.p2_kick, settings.dtau
     points = [(p1, p2, v) if scan.axis == "dtau" else (p1, v, dtau) for v in grid]
     base = replace(base, j_max=_scan_jmax(base, points))
     t1 = time.perf_counter()
 
-    options = {
-        "window_halfwidth": scan.window_halfwidth,
-        "isolate": scan.isolate,
-        "workers": args.threads,
-    }
+    options = {"window_halfwidth": scan.window_halfwidth, "workers": args.threads}
     if scan.axis == "dtau":
         curve = scan_dtau(grid, settings.p1_kick, settings.p2_kick, base, **options)
     elif scan.averaged:
@@ -290,12 +283,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_opt(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     settings, digest, base = _load(args)
-    if settings.scan is None:
-        raise ConfigError("the opt command needs a [scan] section in the config")
-    if settings.scan.axis != "dtau":
-        raise ConfigError("the opt command sweeps separation; set [scan] axis = dtau")
-    scan = settings.scan
     grid = settings.scan_grid()
+    scan = settings.scan
+    if scan.axis != "dtau":
+        raise ConfigError("the opt command sweeps separation; set [scan] axis = dtau")
     search = SearchParams(p2_max=scan.p2_max)
     t1 = time.perf_counter()
 
@@ -305,7 +296,6 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         p2_opt, s_max = find_optimal_p2(
             dtau, settings.p1_kick, base, search,
             window_halfwidth=scan.window_halfwidth,
-            isolate=scan.isolate,
             _bases=bases,
         )
         rows.append((dtau, p2_opt, s_max))

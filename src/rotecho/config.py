@@ -68,7 +68,6 @@ _KEYS = {
         "start": (float, _REQUIRED),
         "stop": (float, _REQUIRED),
         "window_halfwidth_ps": (float, None),
-        "isolate": (_boolean, True),
         "averaged": (_boolean, False),
         "exclude_quarters": (_boolean, False),
         "p2_max": (float, 8.0),
@@ -152,7 +151,6 @@ class ScanSettings:
     count: int
     units: str
     window_halfwidth: float | None
-    isolate: bool
     averaged: bool
     exclude_quarters: bool
     p2_max: float

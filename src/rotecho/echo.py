@@ -11,10 +11,10 @@ strengths around unity and separations well inside a revival quadrant.
 Outside that regime the window also picks up the slowly decaying
 single-pulse response, which swamps the cross term: the rephased signal
 scales as p1*p2**2 while the single-pulse background scales as the kick
-itself.  The scan drivers therefore subtract the two single-pulse
-traces by default (``isolate=True``), which removes every
-delay-independent term and leaves the rephased transient on a flat
-baseline; pass ``isolate=False`` to measure the raw trace instead.
+itself.  The scan drivers therefore always subtract the two
+single-pulse traces, which removes every delay-independent term and
+leaves the rephased transient on a flat baseline; a raw trace is
+measured as ``extract_secho(run_two_pulse(cfg), dtau)``.
 ``extract_secho`` itself never simulates anything and measures whatever
 trace it is handed.  One evaluator serves every scan and the optimum
 search: a point's window is placed once, before any node runs, and the
@@ -77,6 +77,9 @@ FLAT_TRACE_FLOOR = 1e-14
 # it may extend that grid by half its length while |s_echo| still rises.
 COARSE_POINTS = 12
 MAX_EXTENSIONS = 3
+
+# Relative width in p2 at which the golden-section refinement stops.
+REL_TOL = 1e-3
 
 _SCAN_AXES = ("dtau", "p2_kick")
 
@@ -275,27 +278,25 @@ def extract_secho(
 
 
 def _trace_values(
-    config: ExperimentConfig, basis: RotorBasis, first_pulse_cache: dict, isolate: bool,
+    config: ExperimentConfig, basis: RotorBasis, first_pulse_cache: dict,
     select: np.ndarray | slice = slice(None), kernel: bool = True,
 ) -> np.ndarray:
-    """Isolated (or raw) trace of a two-pulse config on the ``select`` part
-    of its grid.  With kernel, impulsive configs take the amplitude kernel,
+    """Isolated trace of a two-pulse config on the ``select`` part of its
+    grid.  With kernel, impulsive configs take the amplitude kernel,
     which evaluates only those samples; others run the density-matrix path
     and cache the first-pulse-only trace by its config, shared by a p2 scan."""
     if kernel and all(p.shape == "impulsive" for p in config.pulses):
         times = _sample_times(config)[select]
-        return _impulsive_values(config, basis, first_pulse_cache, isolate, times)
+        return _impulsive_values(config, basis, first_pulse_cache, times)
     values = run_two_pulse(config, basis=basis).values
-    if isolate:
-        first = replace(config, pulses=config.pulses[:1])
-        v1 = first_pulse_cache.get(first)
-        if v1 is None:
-            v1 = first_pulse_cache[first] = run_pulse_sequence(first, basis=basis).values
-        v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
-        # traces store alignment minus 1/3, so the cross term is a plain
-        # difference and sits on the same zero baseline as any other trace
-        values = values - v1 - v2
-    return values[select]
+    first = replace(config, pulses=config.pulses[:1])
+    v1 = first_pulse_cache.get(first)
+    if v1 is None:
+        v1 = first_pulse_cache[first] = run_pulse_sequence(first, basis=basis).values
+    v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
+    # traces store alignment minus 1/3, so the cross term is a plain
+    # difference and sits on the same zero baseline as any other trace
+    return (values - v1 - v2)[select]
 
 
 def run_isolated_echo(config: ExperimentConfig) -> AlignmentTrace:
@@ -309,7 +310,7 @@ def run_isolated_echo(config: ExperimentConfig) -> AlignmentTrace:
     if len(config.pulses) != 2:
         raise ValueError("isolation needs exactly two pulses")
     basis = RotorBasis(config.resolve_j_max())
-    return AlignmentTrace(_sample_times(config), _trace_values(config, basis, {}, True), config)
+    return AlignmentTrace(_sample_times(config), _trace_values(config, basis, {}), config)
 
 
 def _point_config(
@@ -363,9 +364,9 @@ def _node_task(task: tuple | str, basis: RotorBasis, cache: dict) -> np.ndarray 
     placement failure's message passes through; a tolerance problem returns its."""
     if isinstance(task, str):
         return task
-    config, select, isolate, kernel = task
+    config, select, kernel = task
     try:
-        return _trace_values(config, basis, cache, isolate, select, kernel)
+        return _trace_values(config, basis, cache, select, kernel)
     except ToleranceError as exc:
         return str(exc)
 
@@ -422,7 +423,6 @@ def _run_scan(
     base: ExperimentConfig,
     nodes,
     halfwidth: float | None,
-    isolate: bool,
     workers: int,
     basis: RotorBasis | None,
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
@@ -448,7 +448,7 @@ def _run_scan(
         except WindowError as exc:
             windows.append(str(exc))
     jobs = [  # a shell's job: its kick-scaled config and its point's window mask
-        w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2], isolate, kernel)
+        w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2], kernel)
         for f, _ in nodes for (_, p1, p2, d), w in zip(tasks, windows)
     ]
     chunk = len(tasks) if len(nodes) >= workers else 1
@@ -484,7 +484,6 @@ def scan_dtau(
     base_config: ExperimentConfig,
     *,
     window_halfwidth: float | None = None,
-    isolate: bool = True,
     workers: int = 1,
 ) -> EchoCurve:
     """Echo amplitude versus pulse separation at fixed kicks.
@@ -501,15 +500,13 @@ def scan_dtau(
     if grid[0] <= 0.0 or grid[-1] >= t_rev:
         raise ValueError("separations must lie strictly inside (0, T_rev)")
     tasks = [(float(d), p1_kick, p2_kick, float(d)) for d in grid]
-    points, failures = _run_scan(
-        tasks, base_config, _PLAIN_NODES, window_halfwidth, isolate, workers, None
-    )
+    points, failures = _run_scan(tasks, base_config, _PLAIN_NODES, window_halfwidth, workers, None)
     return EchoCurve("dtau", tuple(points), fit=None, failures=tuple(failures))
 
 
 def _p2_scan(
     p2_values, p1_kick: float, dtau: float, base_config: ExperimentConfig, nodes,
-    window_halfwidth: float | None, isolate: bool, attach_fit: bool,
+    window_halfwidth: float | None, attach_fit: bool,
     workers: int, basis: RotorBasis | None,
 ) -> EchoCurve:
     """Second-pulse scan over the given quadrature nodes: the body of
@@ -520,7 +517,7 @@ def _p2_scan(
     if grid[0] < 0.0:
         raise ValueError("kicks must be non-negative")
     tasks = [(float(p2), p1_kick, float(p2), float(dtau)) for p2 in grid]
-    points, failures = _run_scan(tasks, base_config, nodes, window_halfwidth, isolate, workers, basis)
+    points, failures = _run_scan(tasks, base_config, nodes, window_halfwidth, workers, basis)
     fit = None
     if attach_fit and len(points) >= 6:
         try:
@@ -537,7 +534,6 @@ def scan_p2(
     base_config: ExperimentConfig,
     *,
     window_halfwidth: float | None = None,
-    isolate: bool = True,
     attach_fit: bool = True,
     workers: int = 1,
     basis: RotorBasis | None = None,
@@ -550,7 +546,7 @@ def scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, _PLAIN_NODES, window_halfwidth,
-        isolate, attach_fit, workers, basis,
+        attach_fit, workers, basis,
     )
 
 
@@ -611,16 +607,13 @@ def fit_sin2(curve: EchoCurve) -> Sin2Fit:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Bracket and refinement settings for the optimal-p2 search."""
+    """Bracket setting for the optimal-p2 search."""
 
     p2_max: float = 8.0
-    rel_tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.p2_max <= 0:
             raise ValueError("p2_max must be positive")
-        if not 0 < self.rel_tol < 1:
-            raise ValueError("rel_tol must be in (0, 1)")
 
 
 def find_optimal_p2(
@@ -630,7 +623,6 @@ def find_optimal_p2(
     search_params: SearchParams | None = None,
     *,
     window_halfwidth: float | None = None,
-    isolate: bool = True,
     basis: RotorBasis | None = None,
     _bases: dict[int, RotorBasis] | None = None,
 ) -> tuple[float, float]:
@@ -638,7 +630,7 @@ def find_optimal_p2(
 
     Coarse grid over (0, p2_max], evaluated left to right up to the
     first point that closes an interior maximum and extended up to
-    MAX_EXTENSIONS times while none has, then golden-section to rel_tol
+    MAX_EXTENSIONS times while none has, then golden-section to REL_TOL
     in p2.  The single-pulse backgrounds are cached across
     evaluations.  Without ``basis`` the search starts on the one p2_max
     needs.  Every basis it builds, there or for a bracket extension, goes
@@ -658,7 +650,7 @@ def find_optimal_p2(
 
     def measure(p2: float) -> float:
         window = _window(base_config, p1_kick, float(p2), dtau, window_halfwidth)
-        values = _trace_values(window[0], basis, cache, isolate, window[2])
+        values = _trace_values(window[0], basis, cache, window[2])
         return _echo_point(dtau, window, _PLAIN_NODES, [values]).s_echo
 
     # Coarse bracket, left to right: stop at the first point that closes an
@@ -690,7 +682,7 @@ def find_optimal_p2(
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     fc, fd = abs(measure(c)), abs(measure(d))
-    while hi - lo > sp.rel_tol * max(abs(lo), abs(hi)):
+    while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)

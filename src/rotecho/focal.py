@@ -114,7 +114,6 @@ def averaged_scan_p2(
     base_config: ExperimentConfig,
     *,
     window_halfwidth: float | None = None,
-    isolate: bool = True,
     workers: int = 1,
     basis: RotorBasis | None = None,
 ) -> EchoCurve:
@@ -130,7 +129,7 @@ def averaged_scan_p2(
     """
     return _p2_scan(
         p2_values, p1_kick, dtau, base_config, intensity_quadrature(geometry),
-        window_halfwidth, isolate, attach_fit=True, workers=workers, basis=basis,
+        window_halfwidth, attach_fit=True, workers=workers, basis=basis,
     )
 
 

@@ -272,12 +272,9 @@ def _coherence_spectrum(
     dc = 0.0
     for m, block in enumerate(rho.blocks):
         g = rho.degeneracy(m)
-        c = basis.cos2_block(m)
-        dc += g * float(np.dot(block.diagonal().real, c.diagonal()))
-        n = block.shape[0]
-        if n > 2:
-            idx = np.arange(n - 2)
-            amp[m : m + n - 2] += g * block[idx, idx + 2] * c[idx, idx + 2]
+        diag, off = basis._cos2_bands(m)
+        dc += g * float(np.dot(block.diagonal().real, diag))
+        amp[m : m + off.size] += g * block.diagonal(2) * off
     freqs = omegas[2 : basis.j_max + 1] - omegas[: basis.j_max - 1]
     return dc, amp, freqs
 
@@ -528,11 +525,11 @@ def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
 
     def halves():  # stacked run by run, so one run's copies are alive at a time
         for m in range(basis.j_max + 1):
-            g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
+            g, (diag, off) = MBlockDensityMatrix.degeneracy(m), basis._cos2_bands(m)
             for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
                 pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
                 if cols.size:
-                    yield (m + h, g * c.diagonal()[h::2], g * c.diagonal(2)[h::2], g,
+                    yield (m + h, g * diag[h::2], g * off[h::2], g,
                            lam, v, omegas[m + h :: 2], v.T[:, cols] * np.sqrt(pop[cols]))
 
     runs = itertools.groupby(halves(), key=lambda half: half[-1].shape)
@@ -569,10 +566,10 @@ def _spectra(thermal: tuple, states, n_states: int) -> list:
 
 
 def _impulsive_values(
-    config: ExperimentConfig, basis: RotorBasis, cache: dict, isolate: bool, times: np.ndarray
+    config: ExperimentConfig, basis: RotorBasis, cache: dict, times: np.ndarray
 ) -> np.ndarray:
-    """An impulsive two-pulse config's trace at times on its grid, minus
-    both single-pulse traces when isolate, in run_pulse_sequence's form.
+    """An impulsive two-pulse config's trace at times on its grid minus
+    both single-pulse traces, in run_pulse_sequence's form.
 
     cache keeps the thermal groups and one first-pulse entry: the
     post-kick-1 spectrum and, per group, X = V^T F(dtau) W_1 with F the free
@@ -602,13 +599,13 @@ def _impulsive_values(
         s1 = _spectra(thermal, first_kick(), 1)[0]
         cache["first"] = ((k1, dtau), s1, xs)
     _, s1, xs = cache["first"]
-    window = (t_a, t_b, isolate, times.tobytes())
+    window = (t_a, t_b, times.tobytes())
     if cache.get("window", (None,))[0] != window:
         lo_a, lo_b = (int(np.searchsorted(times, t, side="left")) for t in (t_a, t_b))
         head = np.full(lo_b, 1.0 / 3.0)
         head[lo_a:] = _free_values(s1, times[lo_a:lo_b] - t_a)
         phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
-        cache["window"] = (window, head, phases, _piecewise(times, [(t_a, s1)]) if isolate else None)
+        cache["window"] = (window, head, phases, _piecewise(times, [(t_a, s1)]))
     _, head, phases, only_1 = cache["window"]
 
     def trace(spectrum, before: np.ndarray) -> np.ndarray:
@@ -616,14 +613,9 @@ def _impulsive_values(
         dc, amp, _ = spectrum
         return np.concatenate([before, dc + 2.0 * (phases @ amp).real]) - 1.0 / 3.0
 
-    n = 2 if isolate else 1
     second_kick = (
-        _rotate(v, np.exp(1j * k2 * lam)[..., None]
-                * (np.concatenate([x, vt_w], axis=2) if isolate else x))
+        _rotate(v, np.exp(1j * k2 * lam)[..., None] * np.concatenate([x, vt_w], axis=2))
         for (*_, lam, v, _, vt_w), x in zip(groups, xs)
     )
-    s12, *s2 = _spectra(thermal, second_kick, n)
-    full = trace(s12, head)
-    if not isolate:
-        return full
-    return full - only_1 - trace(s2[0], np.full(head.size, 1.0 / 3.0))
+    s12, s2 = _spectra(thermal, second_kick, 2)
+    return trace(s12, head) - only_1 - trace(s2, np.full(head.size, 1.0 / 3.0))

@@ -74,11 +74,10 @@ def test_kernel_matches_the_reference_composition(
     cache: dict = {}
     for kick in (p2, p2_next):  # the second kick reuses the cached first pulse
         cfg = replace(cfg, pulses=(cfg.pulses[0], replace(cfg.pulses[1], kick=kick)))
-        full, isolated = _reference(cfg, basis)
+        _, isolated = _reference(cfg, basis)
         select = _sample_times(cfg) >= window
-        assert np.max(np.abs(_trace_values(cfg, basis, {}, True) - isolated)) <= TOL
-        assert np.max(np.abs(_trace_values(cfg, basis, {}, False) - full)) <= TOL
-        windowed = _trace_values(cfg, basis, cache, True, select)
+        assert np.max(np.abs(_trace_values(cfg, basis, {}) - isolated)) <= TOL
+        windowed = _trace_values(cfg, basis, cache, select)
         assert np.max(np.abs(windowed - isolated[select])) <= TOL
 
 
@@ -89,7 +88,7 @@ def test_gaussian_configs_keep_the_density_matrix_path():
     cfg = replace(cfg, pulses=(cfg.pulses[0], second))
     basis = RotorBasis(12)
     _, isolated = _reference(cfg, basis)
-    assert np.array_equal(_trace_values(cfg, basis, {}, True), isolated)
+    assert np.array_equal(_trace_values(cfg, basis, {}), isolated)
 
 
 def test_trace_drift_guard_covers_impulsive_runs(monkeypatch):
@@ -112,15 +111,14 @@ def test_trace_drift_guard_covers_impulsive_runs(monkeypatch):
         assert curve.failures[0][1].startswith("trace drift")
 
 
-def _per_half_values(config, basis, isolate, times):
+def _per_half_values(config, basis, times):
     """The kernel as one loop over the (m, J-parity) halves in (m, h) order,
     each half kicked and reduced on its own: the bits the grouped kernel
     must keep."""
     (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
     p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
     omegas = basis.omegas(config.molecule)
-    n = 2 if isolate else 1
-    dc, amp = np.zeros(n + 1), np.zeros((n + 1, basis.j_max - 1), dtype=complex)
+    dc, amp = np.zeros(3), np.zeros((3, basis.j_max - 1), dtype=complex)
     for m in range(basis.j_max + 1):
         g, c = MBlockDensityMatrix.degeneracy(m), basis.cos2_block(m)
         for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
@@ -130,20 +128,18 @@ def _per_half_values(config, basis, isolate, times):
             vt_w = v.T[:, cols] * np.sqrt(pop[cols])
             w1 = _rotate(v, np.exp(1j * k1 * lam)[:, None] * vt_w)
             x = _rotate(v.T, np.exp(-1j * (t_b - t_a) * omegas[m + h :: 2])[:, None] * w1)
-            y = np.concatenate([x, vt_w], axis=1)[:, : n * cols.size]
+            y = np.concatenate([x, vt_w], axis=1)
             z2 = _rotate(v, np.exp(1j * k2 * lam)[:, None] * y)
             gcd, gco = g * c.diagonal()[h::2], g * c.diagonal(2)[h::2]
-            for s, z in ((slice(0, 1), w1), (slice(1, n + 1), z2)):
+            for s, z in ((slice(0, 1), w1), (slice(1, 3), z2)):
                 z = z.reshape(z.shape[0], -1, cols.size)
                 pop_z = np.einsum("isj,isj->is", z.view(np.float64), z.view(np.float64))
                 dc[s] += gcd @ pop_z
                 coh = np.einsum("isj,isj->si", z[:-1], z[1:].conj()) * gco
                 amp[s, m + h : m + h + 2 * gco.size : 2] += coh
-    s1, s12, *s2 = ((dc[s], amp[s], omegas[2:] - omegas[:-2]) for s in range(n + 1))
+    s1, s12, s2 = ((dc[s], amp[s], omegas[2:] - omegas[:-2]) for s in range(3))
     full = _piecewise(times, [(t_a, s1), (t_b, s12)])
-    if not isolate:
-        return full
-    return full - _piecewise(times, [(t_a, s1)]) - _piecewise(times, [(t_b, s2[0])])
+    return full - _piecewise(times, [(t_a, s1)]) - _piecewise(times, [(t_b, s2)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +149,7 @@ def _per_half_values(config, basis, isolate, times):
     j_max=st.integers(2, 40),
     p1=kicks,
     dtau_fracs=st.lists(st.floats(0.03, 0.45), min_size=1, max_size=2),
-    evaluations=st.lists(st.tuples(kicks, st.booleans(), st.booleans()), min_size=1, max_size=3),
+    evaluations=st.lists(st.tuples(kicks, st.booleans()), min_size=1, max_size=3),
 )
 def test_grouped_kernel_keeps_the_bits_of_the_per_half_loop(
     temperature, weights, j_max, p1, dtau_fracs, evaluations
@@ -161,13 +157,13 @@ def test_grouped_kernel_keeps_the_bits_of_the_per_half_loop(
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_even=weights[0],
                        weight_odd=weights[1])
     basis = RotorBasis(j_max)
-    cache: dict = {}  # one cache across delays, second kicks, windows and isolation
+    cache: dict = {}  # one cache across delays, second kicks and windows
     for dtau_frac in dtau_fracs:
-        for p2, isolate, window in evaluations:
+        for p2, window in evaluations:
             dtau = dtau_frac * revival_period(mol)
             cfg = two_pulse_config(mol, p1, p2, dtau, j_max=j_max, solver=SolverOptions(truncation_tol=1.0))
             times = _sample_times(cfg)
             if window:
                 times = times[np.abs(times - 2.0 * dtau) <= 0.03 * revival_period(mol)]
-            grouped = _impulsive_values(cfg, basis, cache, isolate, times)
-            assert np.array_equal(grouped, _per_half_values(cfg, basis, isolate, times))
+            grouped = _impulsive_values(cfg, basis, cache, times)
+            assert np.array_equal(grouped, _per_half_values(cfg, basis, times))

@@ -1,5 +1,6 @@
 """Config parsing, the command-line verbs, and the output writers."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -152,7 +153,6 @@ def test_explicit_molecule_roundtrip(tmp_path):
         start = 0.5
         stop = 4.0
         count = 8
-        isolate = off
         p2_max = 12.0
 
         [beam]
@@ -171,7 +171,7 @@ def test_explicit_molecule_roundtrip(tmp_path):
     assert (s.j_max, s.dt_sample, s.t_end) == (32, 0.05, 40.0)
     assert s.solver.substeps == 64 and s.solver.truncation_tol == 5e-3
     assert s.scan.axis == "p2" and s.scan.count == 8
-    assert s.scan.isolate is False and s.scan.p2_max == 12.0
+    assert s.scan.p2_max == 12.0
     assert s.beam.n_shells == 3 and s.beam.kappa == pytest.approx(6.25)
 
 
@@ -265,11 +265,11 @@ def test_pulse_section_validation(tmp_path):
 
 
 def test_boolean_parsing(tmp_path):
-    s = load_config(write_cfg(tmp_path, COLD_SCAN_P2 + "isolate = off\n"))
-    assert s.scan.isolate is False
+    s = load_config(write_cfg(tmp_path, COLD_SCAN_P2 + "exclude_quarters = on\n"))
+    assert s.scan.exclude_quarters is True
     with pytest.raises(ConfigError, match="not a boolean"):
         load_config(
-            write_cfg(tmp_path, COLD_SCAN_P2 + "isolate = maybe\n", name="g.cfg")
+            write_cfg(tmp_path, COLD_SCAN_P2 + "exclude_quarters = maybe\n", name="g.cfg")
         )
 
 
@@ -303,10 +303,11 @@ def test_booleans_any_case_and_padding_and_nothing_else(tmp_path_factory, word, 
     path = tmp_path_factory.getbasetemp() / "bool.cfg"
     cased = "".join(c.upper() if up else c for c, up in zip(word, upper))
     value = pads[0] + cased + pads[1]
-    assert _load_text(path, _with_line("scan", f"isolate = {value}")).scan.isolate is _BOOL_WORDS[word]
+    loaded = _load_text(path, _with_line("scan", f"exclude_quarters = {value}"))
+    assert loaded.scan.exclude_quarters is _BOOL_WORDS[word]
     if other.strip().lower() not in _BOOL_WORDS:
-        with pytest.raises(ConfigError, match=re.escape("[scan] isolate:")):
-            _load_text(path, _with_line("scan", f"isolate = {other}"))
+        with pytest.raises(ConfigError, match=re.escape("[scan] exclude_quarters:")):
+            _load_text(path, _with_line("scan", f"exclude_quarters = {other}"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,6 +347,13 @@ def test_a_config_naming_delta_alpha_exits_2(tmp_path, capsys):
     assert "[molecule] delta_alpha: unknown key" in capsys.readouterr().err
 
 
+def test_a_config_naming_isolate_exits_2(tmp_path, capsys):
+    # scans always measure the isolated echo, so the key is unknown
+    cfg = write_cfg(tmp_path, COLD_SCAN_P2 + "isolate = true\n")
+    assert cli.main(["scan", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "[scan] isolate: unknown key" in capsys.readouterr().err
+
+
 def test_readme_names_exactly_the_config_keys():
     paragraph = _README.read_text(encoding="utf-8").split("Config sections and keys:")[1]
     parts = re.split(r"`\[(\w+)\]`", paragraph.split("\n\n")[0])[1:]
@@ -362,8 +370,8 @@ def test_full_config_loads_and_takes_percent_literally(tmp_path):
     assert (loaded.j_max, loaded.scan.count, loaded.beam.n_shells) == (24, 6, 2)
     text = FULL_CFG.replace("[molecule]\n", "[molecule]\nname = OCS 100%\n")
     assert _load_text(tmp_path / "pct.cfg", text).molecule.name == "OCS 100%"
-    with pytest.raises(ConfigError, match=re.escape("[scan] isolate:")):
-        _load_text(tmp_path / "pct.cfg", _with_line("scan", "isolate = 50%"))
+    with pytest.raises(ConfigError, match=re.escape("[scan] exclude_quarters:")):
+        _load_text(tmp_path / "pct.cfg", _with_line("scan", "exclude_quarters = 50%"))
 
 
 def test_scan_validation(tmp_path):
@@ -882,6 +890,76 @@ def test_exit_code_2_for_config_problems(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COLD_SIM + "t_end_ps = 1.0\n", name="short.cfg")
     assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "invalid parameter: t_end must lie past the last pulse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["scan", "opt"])
+def test_scan_and_opt_need_a_scan_section(tmp_path, capsys, verb):
+    cfg = write_cfg(tmp_path, COLD_SIM)
+    assert cli.main([verb, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "rotecho: config error: this command needs a [scan] section\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _pathways(*argv):
+    """The pathways verb's handler on argv, so its ConfigError surfaces."""
+    args = cli.build_parser().parse_args(["pathways", *argv, "--out-dir", "out"])
+    return args.handler(args)
+
+
+def _write(name, text):
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+def _preset_without_molecule(monkeypatch):
+    Path("presets").mkdir()
+    _write("presets/BARE.cfg", "[pulses]\np1_kick = 1\n")
+    monkeypatch.setattr(config.resources, "files", lambda package: Path.cwd())
+    return molecule_preset("BARE")
+
+
+_OCS = "[molecule]\npreset = OCS\n"
+_PULSES = "[pulses]\np1_kick = 0.5\ndtau_frac = 0.1\n"
+
+
+# each row runs in an empty working directory
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda mp: cli._positive_int("0"), argparse.ArgumentTypeError, "must be a positive integer"),
+        (lambda mp: _pathways("--start=-4", "--target", "6,4"), ConfigError,
+         "--start needs non-negative J values, got '-4'"),
+        (lambda mp: _pathways("--start", "4", "--target", "6,4", "--dtau-ps", "0"), ConfigError,
+         "the pulse separation must be positive"),
+        (lambda mp: _pathways("--start", "4", "--target", "6"), ConfigError,
+         "--target needs exactly two J values, got '6'"),
+        (lambda mp: load_config(_write("g.cfg", "[molecule]\nname = bare\n" + _PULSES)), ConfigError,
+         "[molecule]: need a preset or at least b_cm"),
+        (_preset_without_molecule, ConfigError, "preset 'BARE' lacks a [molecule] section"),
+        (lambda mp: load_config(_write("g.cfg", _PULSES)), ConfigError,
+         "g.cfg: missing [molecule] section"),
+        (lambda mp: load_config(_write("g.cfg", _OCS + _OCS)), ConfigError,
+         "While reading from 'g.cfg' [line  3]: section 'molecule' already exists"),
+        (lambda mp: load_config(_write("g.cfg", "[molecule]\nb_cm = -0.2\n" + _PULSES)), ConfigError,
+         "[molecule]: rotational constant must be positive"),
+        (lambda mp: load_config(_write("g.cfg", _OCS + _PULSES + "[solver]\nsubsteps = 0\n")),
+         ConfigError, "[solver]: substeps must be at least 1"),
+        (lambda mp: load_config(_write("g.cfg", _OCS + _PULSES + "[beam]\npump_waist_um = 0\n"
+                                                "probe_waist_um = 15\n")),
+         ConfigError, "[beam]: waists must be positive"),
+        (lambda mp: load_config(_write("g.cfg", _OCS + _PULSES.replace("0.1", "0.0"))), ConfigError,
+         "[pulses]: the pulse delay must be positive"),
+        (lambda mp: runio.write_fit_json("fit.json", object(), {}), TypeError,
+         "no JSON layout for object"),
+        (lambda mp: runio.read_decay_table(_write("t.csv", "dtau_ps,amp\n1,2\n")), ConfigError,
+         "t.csv: no s_echo_max or s_echo column in ['dtau_ps', 'amp']"),
+    ],
+)
+def test_guard_messages(tmp_path, monkeypatch, call, error, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as exc:
+        call(monkeypatch)
+    assert str(exc.value) == message
 
 
 def test_exit_code_3_for_numerical_failures(tmp_path, capsys):

@@ -500,12 +500,11 @@ def test_master_curve_rejects_mismatched_p1():
         master_curve_check([c1, c2])
 
 
-def test_find_optimal_p2_agrees_with_dense_scan():
+def test_find_optimal_p2_agrees_with_dense_scan(monkeypatch):
+    monkeypatch.setattr(echo, "REL_TOL", 1e-4)
     dtau = 0.125 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau)
-    p2_opt, s_max = find_optimal_p2(
-        dtau, 0.5, base, SearchParams(p2_max=8.0, rel_tol=1e-4)
-    )
+    p2_opt, s_max = find_optimal_p2(dtau, 0.5, base, SearchParams(p2_max=8.0))
     dense = scan_p2(np.linspace(0.2, 8.0, 40), 0.5, dtau, base, attach_fit=False)
     i = int(np.argmax(np.abs(dense.s_values())))
     assert abs(p2_opt - dense.axis_values()[i]) < 0.25
@@ -581,7 +580,6 @@ _LOBE = EchoCurve("p2_kick", _p2_points([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         (lambda: fit_sin2(EchoCurve("p2_kick", _p2_points([0.0] * 6))), FitError,
          "first lobe has no positive amplitude to fit"),
         (lambda: SearchParams(p2_max=0.0), ValueError, "p2_max must be positive"),
-        (lambda: SearchParams(rel_tol=1.0), ValueError, "rel_tol must be in (0, 1)"),
         (lambda: master_curve_check([_LOBE]), ValueError, "need at least two curves"),
         (lambda: master_curve_check([_LOBE, EchoCurve("dtau", ())]), ValueError,
          "master-curve check applies to p2 scans"),
@@ -591,9 +589,20 @@ _LOBE = EchoCurve("p2_kick", _p2_points([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
          "reference curve is flat"),
         (lambda: fit_decay([(5.0, 1e-3), (8.0, -1e-3), (11.0, 0.0), (14.0, -2e-3)]), FitError,
          "need at least two positive amplitudes"),
+        (lambda: fit_sin2(_LOBE), FitError,
+         "sin2 fit did not converge over 6 points (span 0.1..0.6, p0=(2.4, np.float64(0.8333333333333333)))"),
+        (lambda: fit_decay([(5.0, 1.0), (8.0, 1.0), (11.0, 1.0), (14.0, 1.0)]), FitError,
+         "decay fit did not converge (p0=(1.0, np.float64(-0.0)))"),
     ],
 )
-def test_guard_messages(call, error, message):
+def test_guard_messages(call, error, message, monkeypatch):
+    import scipy.optimize
+
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Optimal parameters not found")
+
+    # the rows that reach a curve fit see it fail to converge
+    monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message

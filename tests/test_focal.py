@@ -199,7 +199,7 @@ def _per_point_curve(grid, p1, dtau, geom, base):
             acc = None
             for fraction, weight in nodes:
                 cfg = _point_config(base, fraction * p1, fraction * p2, dtau)
-                values = weight * _trace_values(cfg, basis, {}, True, select)
+                values = weight * _trace_values(cfg, basis, {}, select)
                 acc = values if acc is None else acc + values
             trace = np.full(times.shape, np.nan)
             trace[select] = acc
@@ -232,7 +232,7 @@ def test_node_major_scan_equals_per_point_evaluation(n_shells, grid, workers, pr
 
 
 def test_serial_averaged_scan_builds_each_shell_first_pulse_once(monkeypatch):
-    # with isolate, a first-pulse build is the one _spectra call of a single state
+    # a first-pulse build is the one _spectra call of a single state
     states = []
     spectra = propagate._spectra
 

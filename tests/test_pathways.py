@@ -283,3 +283,18 @@ def test_enumeration_input_validation():
         enumerate_pathways(2, (-2, 0))
     with pytest.raises(ValueError, match="at least one"):
         enumerate_pathways((), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Pathway(-2, (RamanStep(1, "ket", 2), RamanStep(2, "ket", 2), RamanStep(2, "bra", 2)),
+                         (0, -2), (4, 0)),
+         "start population must have J >= 0"),
+        (lambda: enumerate_pathways((4, -2), (6, 4)), "start populations must have J >= 0"),
+    ],
+)
+def test_guard_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

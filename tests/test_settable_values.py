@@ -14,8 +14,8 @@ import inspect
 from rotecho import cli, config
 
 MODULES = ("basis", "propagate", "echo", "focal", "pathways", "config", "runio", "cli")
-MAX_SETTABLE = 53
-MAX_CONFIG_KEYS = 30
+MAX_SETTABLE = 48
+MAX_CONFIG_KEYS = 29
 MAX_CLI_OPTIONS = 21
 
 
