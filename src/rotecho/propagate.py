@@ -4,14 +4,15 @@ Free evolution multiplies the (J, J') element by exp(-i*(w_J - w_J')*dt)
 and is evaluated in closed form.  During a finite pulse the Hamiltonian
 is H0 - kick*g(t)*cos^2(theta) with g the unit-integral Gaussian
 intensity envelope; the propagator is a chain of exact exponentials of
-the split parts on a fixed step mesh, each step Yoshida's triple jump of
-three Strang stages, so the evolution is unconditionally unitary and the
-splitting error falls as the fourth power of the step.  Neither part
-mixes J parity, so the pulse factors each (m, J-parity) half of the
-state as Z diag(mu) Z^dagger and pushes only the columns Z through the
-chain, one batched product per stage for all halves of one size; a state
-with an element between even and odd J is rejected.  The impulsive limit
-applies U = exp(i*kick*cos^2 theta) in one step.
+the split parts on a fixed step mesh, each step Kahan and Li's
+sixth-order composition of nine Strang stages, so the evolution is
+unconditionally unitary and the splitting error falls as the sixth power
+of the step.  Neither part mixes J parity, so the pulse factors each
+(m, J-parity) half of the state as Z diag(mu) Z^dagger in the J basis and
+pushes only the columns Z through the chain: a flight is an elementwise
+phase and a kick two real products, batched for all halves of one size;
+a state with an element between even and odd J is rejected.  The
+impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
 
 This density-matrix path is the reference.  The optimum search,
 averaged scans and isolated echoes of impulsive configs run the
@@ -62,10 +63,13 @@ HERM_TOL = 1e-10
 # Largest drift of a state's weighted trace from 1 after a pulse.
 TRACE_TOL = 1e-9
 
-# Stage fractions (w1, w0, w1) of Yoshida's fourth-order triple jump,
-# Phys. Lett. A 150, 262 (1990); w0 < 0 runs the middle stage backwards.
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)
+# Stage fractions of Kahan and Li's symmetric sixth-order composition of
+# nine stages (p6 s9), Math. Comp. 66, 1089 (1997); Hairer, Lubich and
+# Wanner, Geometric Numerical Integration, eq. V.3.11.  The third and
+# seventh (< 0) run backwards.
+_GAMMAS = (0.39216144400731413928, 0.33259913678935943860,
+           -0.70624617255763935981, 0.08221359629355080023)
+_COMPOSITION = (*_GAMMAS, 1.0 - 2.0 * sum(_GAMMAS), *_GAMMAS[::-1])
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class PulseSpec:
 class SolverOptions:
     """Numerical knobs for pulse integration and state guards."""
 
-    substeps: int = 48             # fourth-order steps (3 stages each) per pulse window
+    substeps: int = 8              # sixth-order steps (9 stages each) per pulse window
     truncation_tol: float = 1e-2   # thermal-population guard at J = j_max
 
     def __post_init__(self) -> None:
@@ -169,8 +173,8 @@ def two_pulse_config(
     default to the impulsive limit, which the scans' amplitude kernel
     runs; pass shape="gaussian" to integrate the finite 0.1 ps envelope
     instead (same post-pulse physics to a few percent; for OCS at 296 K and
-    j_max = 80 one gaussian run takes about 20 times as long as an
-    impulsive one, 0.48 s against 0.024 s on one BLAS thread).
+    j_max = 80 one gaussian run takes about 11 times as long as an
+    impulsive one, 0.37 s against 0.033 s on one BLAS thread).
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
@@ -306,12 +310,13 @@ def _pulse_window(pulse: PulseSpec) -> tuple[float, float]:
 def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) -> Iterator:
     """(alphas, taus, is_sample) per segment of the pulse window, which is
     cut at the sample times into steps of at most span / substeps, each
-    Yoshida's triple jump of Strang stages (w1, w0, w1) times its length.
-    alphas holds each stage's kick, the exact envelope mass of its time
-    slice (negative for the backward w0 < 0), so the integrated kick equals
-    pulse.kick on any mesh; taus holds the len(alphas) + 1 free flights
-    around the kicks, [s_0/2, (s_0 + s_1)/2, .., s_last/2] for stage
-    lengths s.  Both are empty for a segment too short to step."""
+    Kahan and Li's sixth-order composition of nine Strang stages, the
+    fractions _COMPOSITION of its length.  alphas holds each stage's kick,
+    the exact envelope mass of its time slice (negative for a backward
+    stage), so the integrated kick equals pulse.kick on any mesh; taus
+    holds the len(alphas) + 1 free flights around the kicks,
+    [s_0/2, (s_0 + s_1)/2, .., s_last/2] for stage lengths s.  Both are
+    empty for a segment too short to step."""
     w_start, w_end = _pulse_window(pulse)
     span, sigma, sq2 = w_end - w_start, pulse.sigma(), math.sqrt(2.0)
     lo, hi = math.erf(-WINDOW_SIGMAS / sq2), math.erf(WINDOW_SIGMAS / sq2)
@@ -325,10 +330,10 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
         if seg > 1e-15 * max(1.0, abs(target)):
             n_sub = max(1, math.ceil(solver.substeps * seg / span))
             dt = seg / n_sub
-            cuts = cursor + dt * (np.arange(n_sub)[:, None] + np.cumsum([0.0, *_TRIPLE_JUMP[:2]]))
+            cuts = cursor + dt * (np.arange(n_sub)[:, None] + np.cumsum([0.0, *_COMPOSITION[:-1]]))
             edges = [*cuts.ravel(), target]
             alphas = pulse.kick * np.diff([envelope_cdf(t) for t in edges])
-            stages = dt * np.tile(_TRIPLE_JUMP, n_sub)
+            stages = dt * np.tile(_COMPOSITION, n_sub)
             taus = 0.5 * (np.append(stages, 0.0) + np.insert(stages, 0, 0.0))
             cursor = target
         yield alphas, taus, is_sample
@@ -340,20 +345,21 @@ def _apply_gaussian_pulse(
     solver: SolverOptions,
     sample_times: np.ndarray | None = None,
 ) -> tuple[MBlockDensityMatrix, np.ndarray]:
-    """Fourth-order split integration across the pulse window.
+    """Sixth-order split integration across the pulse window.
 
     The chain alternates exact exponentials of H0 and of the coupling on
     the stages of _pulse_segments.  Neither mixes J parity, so each (m,
-    J-parity) half is factored once in the eigenbasis (lambda, V) of
-    cos^2(theta), V^T rho_half V = X diag(mu) X^dagger with mu keeping its
-    signs, and only the columns X are propagated: the coupling is a row
-    phase exp(i*alpha*lambda) and a flight tau of H0 one product Q X, with
-    Q = V^T exp(-i*H0*tau) V built once per distinct tau of a segment.
-    Halves of equal size are stacked, so a stage is one batched product
-    per size.  Mid-pulse expectation values are sums of g * lambda *
-    (|X|^2 mu).  The state must have no element between even and odd J
-    (ValueError otherwise); the thermal state has none, and kicks, free
-    evolution and pulses create none.
+    J-parity) half is factored once in the J basis, rho_half = Z diag(mu)
+    Z^dagger with mu keeping its signs, and only the columns Z are
+    propagated: a flight tau of H0 is the row phase exp(-i*w_J*tau), and a
+    kick alpha is V (exp(i*alpha*lambda) * (V^T Z)) with (lambda, V) the
+    half's cos^2 eigensystem, two real products.  Halves of equal size are
+    stacked and stepped one size at a time.  A mid-pulse expectation value
+    is g * sum mu * z^dagger cos^2 z from the half's two cos^2 bands,
+    summed per size and then over sizes in a fixed order.  The state must
+    have no element between even and odd J (ValueError otherwise); the
+    thermal state has none, and kicks, free evolution and pulses create
+    none.
     """
     basis = rho.basis
     omegas = basis.omegas(rho.molecule)
@@ -361,45 +367,39 @@ def _apply_gaussian_pulse(
     for m, block in enumerate(rho.blocks):
         if np.any(block[0::2, 1::2]) or np.any(block[1::2, 0::2]):
             raise ValueError(f"block m={m} couples even and odd J")
+        g, (diag, off) = MBlockDensityMatrix.degeneracy(m), basis._cos2_bands(m)
         for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
             if lam.size:
-                member = (m, h, MBlockDensityMatrix.degeneracy(m), lam, v, omegas[m + h :: 2])
+                member = (m, h, g * diag[h::2], g * off[h::2], lam, v, omegas[m + h :: 2])
                 groups.setdefault(lam.size, []).append(member)
-    packs, xs = [], []  # per size: (m, h, g, lambda, V, level frequencies, mu); X
-    for members in groups.values():
-        ms, hs, g, lam, v, om = (np.array(a) for a in zip(*members))
-        halves = np.array([rho.blocks[m][h::2, h::2] for m, h in zip(ms, hs)])
-        mu, x = np.linalg.eigh(v.transpose(0, 2, 1) @ halves @ v)
-        packs.append((ms, hs, g, lam, v, om, mu))
-        xs.append(x)
-
-    def record() -> float:
-        return sum(
-            float(np.einsum("g,gi,gik,gk->", g, lam, x.real**2 + x.imag**2, mu))
-            for (_, _, g, lam, _, _, mu), x in zip(packs, xs)
-        )
-
-    values = []
-    segments = _pulse_segments(pulse, solver, () if sample_times is None else sample_times)
-    for alphas, taus, is_sample in segments:
-        flights, which = np.unique(taus, return_inverse=True)
-        for k, (*_, lam, v, om, _) in enumerate(packs if alphas.size else ()):
-            q = [_rotate(v.transpose(0, 2, 1), np.exp(-1j * t * om)[..., None] * v) for t in flights]
-            ph = np.exp(1j * np.multiply.outer(alphas, lam))[..., None]
-            x = q[which[0]] @ xs[k]
-            for p, i in zip(ph, which[1:]):
-                x = q[i] @ (p * x)
-            xs[k] = x
-        if is_sample:
-            values.append(record())
-
+    segments = list(_pulse_segments(pulse, solver, () if sample_times is None else sample_times))
     blocks = [np.zeros((basis.block_dim(m),) * 2, dtype=complex) for m in range(basis.j_max + 1)]
-    for (ms, hs, _, _, v, _, mu), x in zip(packs, xs):
-        z = _rotate(v, x)
+    values = np.zeros(sum(is_sample for *_, is_sample in segments))
+    for members in groups.values():  # one size's state and phases alive at a time
+        ms, hs, gd, go, lam, v, om = (np.array(a) for a in zip(*members))
+        mu, z = np.linalg.eigh(np.array([rho.blocks[m][h::2, h::2] for m, h in zip(ms, hs)]))
+        vt, own = v.transpose(0, 2, 1), []
+        for alphas, taus, is_sample in segments:
+            if alphas.size:
+                kicks = np.exp(1j * np.multiply.outer(alphas, lam))[..., None]
+                flights = np.exp(-1j * np.multiply.outer(taus, om))[..., None]
+                z = z * flights[0]
+                for kick, flight in zip(kicks, flights[1:]):
+                    y = _rotate(vt, z)
+                    y *= kick
+                    z = _rotate(v, y)
+                    z *= flight
+            if is_sample:
+                zf = z.view(np.float64)  # Re(a b*) = a.re b.re + a.im b.im
+                zm = zf * np.repeat(mu, 2, axis=1)[:, None, :]
+                rows = np.einsum("gik,gik->gi", zm, zf)
+                band = np.einsum("gik,gik->gi", zm[:, :-1], zf[:, 1:])
+                own.append(float(np.sum(gd * rows) + 2.0 * np.sum(go * band)))
+        values += own
         for m, h, half in zip(ms, hs, (z * mu[:, None, :]) @ z.conj().transpose(0, 2, 1)):
             blocks[m][h::2, h::2] = half
     out = MBlockDensityMatrix(basis=basis, molecule=rho.molecule, blocks=tuple(blocks))
-    return out, np.array(values)
+    return out, values
 
 
 def apply_pulse(

@@ -591,7 +591,7 @@ def test_gaussian_manifests_record_the_pulse_mesh(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
     assert RunManifest.load(tmp_path / "out" / "manifest.json").parameters["substeps"] == 16
     scan = load_config(write_cfg(tmp_path, COLD_SCAN_P2.replace("[pulses]", gaussian)))
-    assert cli._scan_parameters(scan, 24)["substeps"] == 48
+    assert cli._scan_parameters(scan, 24)["substeps"] == 8
     assert "substeps" not in cli._scan_parameters(load_config(write_cfg(tmp_path, COLD_SCAN_P2)), 24)
 
 

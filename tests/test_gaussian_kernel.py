@@ -1,8 +1,9 @@
 """The factored gaussian pulse kernel against a dense full-block oracle.
 
 The oracle runs the split chain on the whole density matrix of each m
-block, rho~ <- Q rho~ Q^dagger, on the same triple-jump stages: one
-full-block Q per distinct free flight, a sandwich after each kick.
+block, rho~ <- Q rho~ Q^dagger, on the same stages (Kahan and Li's
+sixth-order composition, 9 stages per step): one full-block Q per
+distinct free flight, a sandwich after each kick.
 """
 
 from unittest import mock

@@ -187,6 +187,36 @@ def test_pulse_integrator_is_fourth_order():
     assert err[0] / err[1] >= 12.0
 
 
+def test_pulse_integrator_is_sixth_order():
+    # a sixth-order chain cuts the error 64-fold per halving of the step
+    dtau = 0.07 * revival_period(COLD)
+    cfg = two_pulse_config(COLD, 0.5, 0.3, dtau, shape="gaussian", t_end=dtau + 3.0)
+    ref = run_two_pulse(with_substeps(cfg, 256)).values
+    err = [np.max(np.abs(run_two_pulse(with_substeps(cfg, n)).values - ref)) for n in (8, 16)]
+    assert err[0] / err[1] >= 48.0
+
+
+def test_default_mesh_is_no_less_accurate_than_the_old_triple_jump(ocs, monkeypatch):
+    # the 8-step sixth-order default against Yoshida's fourth-order triple
+    # jump on its old 48-step default, both measured from 256 sixth-order steps
+    from rotecho import propagate
+
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    dtau = 0.07 * revival_period(COLD)
+    configs = [
+        two_pulse_config(COLD, 0.5, 0.3, dtau, shape="gaussian", t_end=dtau + 3.0),
+        two_pulse_config(ocs, 1.0, 0.5, 0.07 * revival_period(ocs), shape="gaussian",
+                         duration_fwhm=0.2, j_max=40, solver=SolverOptions(truncation_tol=1.0)),
+    ]
+    for cfg in configs:
+        ref = run_two_pulse(with_substeps(cfg, 256)).values
+        new = np.max(np.abs(run_two_pulse(cfg).values - ref))
+        with monkeypatch.context() as patch:
+            patch.setattr(propagate, "_COMPOSITION", (w1, 1.0 - 2.0 * w1, w1))
+            old = np.max(np.abs(run_two_pulse(with_substeps(cfg, 48)).values - ref))
+        assert new <= old
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     shape=st.sampled_from(["impulsive", "gaussian"]),
