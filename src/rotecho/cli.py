@@ -9,10 +9,10 @@ Exit codes: 0 on success, 2 for configuration and validation problems,
 3 when the numerics refuse (tolerance, window, bracket, or fit
 failures).
 
-The command string embedded in output headers is rebuilt from the
-arguments that affect the data, deliberately omitting --out-dir and
---threads: a rerun into a different directory, or with a different
-worker count, must reproduce the data files byte for byte.
+The command string embedded in output headers names the config or input
+file, plus pathways' --start and --target, and deliberately omits
+--out-dir and --threads: a rerun into a different directory, or with a
+different worker count, must reproduce the data files byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, runio
-from .basis import revival_period
 from .echo import (
     SearchParams,
     _scan_jmax,
@@ -56,18 +55,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(parser, *, config_required: bool = True) -> None:
+def _common_flags(parser) -> None:
     parser.add_argument(
-        "--config", required=config_required, metavar="FILE",
+        "--config", required=True, metavar="FILE",
         help="run configuration (INI)",
     )
     parser.add_argument(
         "--out-dir", default=".", metavar="DIR",
         help="directory for output files (created if missing)",
-    )
-    parser.add_argument(
-        "--jmax-override", type=int, default=None, metavar="J",
-        help="force the rotational basis cutoff",
     )
 
 
@@ -98,11 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_opt)
 
     p = sub.add_parser("pathways", help="interference bookkeeping for one coherence")
-    _common_flags(p, config_required=False)
-    p.add_argument(
-        "--preset", default="OCS",
-        help="molecule preset when no --config is given (default OCS)",
-    )
+    _common_flags(p)
     p.add_argument(
         "--start", required=True, metavar="J[,J2]",
         help="start population(s), e.g. 4 or 4,6",
@@ -110,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target", required=True, metavar="JK,JB",
         help="target coherence as ket,bra, e.g. 6,4",
-    )
-    p.add_argument("--dtau-ps", type=float, default=None, help="pulse separation in ps")
-    p.add_argument(
-        "--dtau-frac", type=float, default=None,
-        help="pulse separation as a fraction of the revival period",
     )
     p.set_defaults(handler=_cmd_pathways)
 
@@ -136,25 +122,17 @@ def _canonical_command(args: argparse.Namespace) -> str:
         parts += ["--config", Path(args.config).name]
     if getattr(args, "input", None):
         parts += ["--input", Path(args.input).name]
-    for flag in ("preset", "start", "target"):
+    for flag in ("start", "target"):
         value = getattr(args, flag, None)
         if value is not None:
             parts += [f"--{flag}", str(value)]
-    for flag in ("dtau_ps", "dtau_frac", "jmax_override"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            parts += [f"--{flag.replace('_', '-')}", runio.fmt(value)]
     return " ".join(parts)
 
 
 def _load(args: argparse.Namespace):
-    """The settings, config digest and experiment (--jmax-override applied)."""
+    """The settings, config digest and experiment."""
     settings = config.load_config(args.config)
-    digest = runio.config_digest(args.config)
-    experiment = settings.experiment()
-    if args.jmax_override is not None:
-        experiment = replace(experiment, j_max=args.jmax_override)
-    return settings, digest, experiment
+    return settings, runio.config_digest(args.config), settings.experiment()
 
 
 def _finish(args, timings, digest, molecule, parameters, writers, notes=None) -> Path:
@@ -322,26 +300,10 @@ def _parse_levels(text: str, what: str) -> list[int]:
 
 def _cmd_pathways(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.dtau_ps is not None and args.dtau_frac is not None:
-        raise ConfigError("give --dtau-ps or --dtau-frac, not both")
-    digest = None
-    if args.config:
-        # the molecule and delay only: no experiment is built or checked
-        settings = config.load_config(args.config)
-        digest = runio.config_digest(args.config)
-        molecule = settings.molecule
-        default_dtau = settings.dtau
-    else:
-        molecule = config.molecule_preset(args.preset)
-        default_dtau = 0.125 * revival_period(molecule)
-    if args.dtau_ps is not None:
-        dtau = args.dtau_ps
-    elif args.dtau_frac is not None:
-        dtau = args.dtau_frac * revival_period(molecule)
-    else:
-        dtau = default_dtau
-    if dtau <= 0.0:
-        raise ConfigError("the pulse separation must be positive")
+    # the molecule, delay and J cutoff only: no experiment is built or checked
+    settings = config.load_config(args.config)
+    digest = runio.config_digest(args.config)
+    molecule, dtau = settings.molecule, settings.dtau
 
     start_levels = _parse_levels(args.start, "--start")
     target = _parse_levels(args.target, "--target")
@@ -349,7 +311,7 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
         raise ConfigError(f"--target needs exactly two J values, got {args.target!r}")
     start = start_levels[0] if len(start_levels) == 1 else tuple(start_levels)
 
-    paths = enumerate_pathways(start, (target[0], target[1]), j_max=args.jmax_override)
+    paths = enumerate_pathways(start, (target[0], target[1]), j_max=settings.j_max)
     timings = {"run": time.perf_counter() - t0}
 
     params = {
@@ -357,7 +319,7 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
         "target": args.target,
         "dtau_ps": dtau,
         "n_pathways": len(paths),
-        "j_max": args.jmax_override,
+        "j_max": settings.j_max,
     }
     table = pathway_table(paths, dtau, molecule, fmt="csv")
     _finish(args, timings, digest, molecule, params,

@@ -121,7 +121,8 @@ class EchoCurve:
 
     ``failures`` records per-point extraction problems as
     (axis value, message) pairs; failed points are simply absent from
-    ``points``.
+    ``points``.  A failed sin² fit of a p2 scan is recorded there too,
+    with axis value nan.
     """
 
     scan_axis: str

@@ -29,6 +29,7 @@ from rotecho import (
 from rotecho import cli, config, runio
 from rotecho.config import _KEYS
 from rotecho.runio import RunManifest
+from test_settable_values import cli_options
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 _README = _PYPROJECT.with_name("README.md")
@@ -365,6 +366,18 @@ def test_readme_names_exactly_the_config_keys():
     assert named == {section: set(keys) for section, keys in _KEYS.items()}
 
 
+def test_readme_names_exactly_the_cli_options():
+    paragraph = _README.read_text(encoding="utf-8").split("Options, by verb:")[1]
+    parts = re.split(r"`([\w-]+)`:", paragraph.split("\n\n")[0])[1:]
+    # each verb and a colon, then its options; `rotecho` is the top-level parser
+    named = {
+        ("" if verb == "rotecho" else f"{verb} ") + option
+        for verb, body in zip(parts[::2], parts[1::2])
+        for option in re.findall(r"--[\w-]+", body)
+    }
+    assert named == set(cli_options())
+
+
 def test_full_config_loads_and_takes_percent_literally(tmp_path):
     loaded = _load_text(tmp_path / "full.cfg", FULL_CFG)
     assert (loaded.j_max, loaded.scan.count, loaded.beam.n_shells) == (24, 6, 2)
@@ -617,15 +630,15 @@ def test_simulate_zero_kicks_stay_flat(tmp_path):
 
 
 def test_simulate_jmax_override(tmp_path):
-    cfg = write_cfg(tmp_path, COLD_SIM)
+    cfg = write_cfg(tmp_path, COLD_SIM.replace("jmax = 24", "jmax = 30"))
     out = tmp_path / "ovr"
-    rc = cli.main(
-        ["simulate", "--config", cfg, "--out-dir", str(out), "--jmax-override", "30"]
-    )
-    assert rc == 0
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
     manifest = RunManifest.load(out / "manifest.json")
     assert manifest.parameters["j_max"] == 30
-    assert "--jmax-override 30" in manifest.command
+    # the config is the only route: the old override flag is a usage error
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--config", cfg, "--out-dir", str(out), "--jmax-override", "30"])
+    assert exit_info.value.code == 2
 
 
 def test_scan_p2_writes_curve_and_fit(tmp_path, capsys):
@@ -790,20 +803,26 @@ def test_opt_rejects_p2_axis(tmp_path):
     assert cli.main(["opt", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
 
 
+_PATHWAYS_CFG = "[molecule]\npreset = OCS\n\n[pulses]\np1_kick = 1.0\n"
+
+
+def _pathways_argv(tmp_path, delay, out, extra=""):
+    cfg = write_cfg(tmp_path, _PATHWAYS_CFG + delay + "\n" + extra, name="pw.cfg")
+    return ["pathways", "--config", cfg, "--out-dir", str(out)]
+
+
 def test_pathways_verb(tmp_path, capsys):
     out = tmp_path / "pw"
-    rc = cli.main(
-        ["pathways", "--start", "4", "--target", "6,4", "--out-dir", str(out)]
-    )
-    assert rc == 0
+    argv = _pathways_argv(tmp_path, "dtau_frac = 0.125", out)
+    assert cli.main([*argv, "--start", "4", "--target", "6,4"]) == 0
     printed = capsys.readouterr().out
     # the ket+2 first step would land on the target, so it is excluded
     assert "P1 bra+2" in printed and "P1 ket+2" not in printed
     assert "5 sequences at dtau = 10.2496 ps" in printed
     assert "10.25, 30.75, 51.25, 71.75 ps" in printed
-    for flags, dtau in ((["--dtau-ps", "20"], "20.0000"), (["--dtau-frac", "0.25"], "20.4993")):
-        argv = ["pathways", "--start", "4", "--target", "6,4", *flags, "--out-dir", str(out)]
-        assert cli.main(argv) == 0
+    for delay, dtau in (("dtau_ps = 20", "20.0000"), ("dtau_frac = 0.25", "20.4993")):
+        argv = _pathways_argv(tmp_path, delay, out)
+        assert cli.main([*argv, "--start", "4", "--target", "6,4"]) == 0
         assert f"sequences at dtau = {dtau} ps" in capsys.readouterr().out
 
     comments, header, rows = read_csv(out / "pathways.csv")
@@ -812,7 +831,21 @@ def test_pathways_verb(tmp_path, capsys):
     assert len(rows) == 5
     manifest = RunManifest.load(out / "manifest.json")
     assert manifest.parameters["n_pathways"] == 5
-    assert manifest.config_sha256 is None
+
+
+def test_pathways_cuts_off_at_the_config_jmax(tmp_path, capsys):
+    # the enumeration cutoff is [solver] jmax, the same basis cutoff the
+    # engine verbs run at; without it the walk is bounded only by the steps
+    out = tmp_path / "pw"
+    for extra, count, j_max in (("", 10, None), ("[solver]\njmax = 6\n", 7, 6)):
+        argv = _pathways_argv(tmp_path, "dtau_ps = 12.5", out, extra)
+        assert cli.main([*argv, "--start", "4,6", "--target", "6,4"]) == 0
+        assert f"{count} sequences at dtau = 12.5000 ps" in capsys.readouterr().out
+        manifest = RunManifest.load(out / "manifest.json")
+        assert manifest.parameters["n_pathways"] == count
+        assert manifest.parameters["j_max"] == j_max
+        digest = hashlib.sha256((tmp_path / "pw.cfg").read_bytes()).hexdigest()
+        assert manifest.config_sha256 == digest
 
 
 def test_fit_decay_verb(tmp_path, capsys):
@@ -870,19 +903,8 @@ def test_exit_code_2_for_config_problems(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COLD_SIM)  # no [scan]
     assert cli.main(["scan", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
-    rc = cli.main(
-        [
-            "pathways",
-            "--start", "4",
-            "--target", "6,4",
-            "--dtau-ps", "10",
-            "--dtau-frac", "0.125",
-            "--out-dir", str(tmp_path),
-        ]
-    )
-    assert rc == 2
     assert cli.main(
-        ["pathways", "--start", "x", "--target", "6,4", "--out-dir", str(tmp_path)]
+        ["pathways", "--config", cfg, "--start", "x", "--target", "6,4", "--out-dir", str(tmp_path)]
     ) == 2
 
     # an engine precondition (the trace must end past the second pulse)
@@ -902,7 +924,8 @@ def test_scan_and_opt_need_a_scan_section(tmp_path, capsys, verb):
 
 def _pathways(*argv):
     """The pathways verb's handler on argv, so its ConfigError surfaces."""
-    args = cli.build_parser().parse_args(["pathways", *argv, "--out-dir", "out"])
+    cfg = _write("pw.cfg", _OCS + _PULSES)
+    args = cli.build_parser().parse_args(["pathways", "--config", cfg, *argv, "--out-dir", "out"])
     return args.handler(args)
 
 
@@ -929,8 +952,6 @@ _PULSES = "[pulses]\np1_kick = 0.5\ndtau_frac = 0.1\n"
         (lambda mp: cli._positive_int("0"), argparse.ArgumentTypeError, "must be a positive integer"),
         (lambda mp: _pathways("--start=-4", "--target", "6,4"), ConfigError,
          "--start needs non-negative J values, got '-4'"),
-        (lambda mp: _pathways("--start", "4", "--target", "6,4", "--dtau-ps", "0"), ConfigError,
-         "the pulse separation must be positive"),
         (lambda mp: _pathways("--start", "4", "--target", "6"), ConfigError,
          "--target needs exactly two J values, got '6'"),
         (lambda mp: load_config(_write("g.cfg", "[molecule]\nname = bare\n" + _PULSES)), ConfigError,
@@ -986,7 +1007,7 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
     for argv in (
         ["simulate", "--config", cfg],
         ["opt", "--config", cfg],
-        ["pathways", "--start", "4", "--target", "6,4", "--dtau-ps", "10"],
+        ["pathways", "--config", cfg, "--start", "4", "--target", "6,4"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--out-dir", str(tmp_path), "--threads", "2"])

@@ -16,7 +16,7 @@ from rotecho import cli, config
 MODULES = ("basis", "propagate", "echo", "focal", "pathways", "config", "runio", "cli")
 MAX_SETTABLE = 48
 MAX_CONFIG_KEYS = 29
-MAX_CLI_OPTIONS = 21
+MAX_CLI_OPTIONS = 14
 
 
 def defaulted(function, owner):
