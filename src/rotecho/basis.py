@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import TruncationError
 
-# c, h and k_B are exact by definition since the 2019 SI: scipy.constants
-# holds the same doubles, but importing it slows every CLI call's start
+# c, h and k_B are exact by definition since the 2019 SI; scipy is a test-only
+# dependency, and test_physical_constants_match_scipy_exactly checks these
 _C_M_PER_S, _H, _KB = 299792458.0, 6.62607015e-34, 1.380649e-23
 
 # Speed of light in cm/ps: converts B [1/cm] into optical cycles per ps.

@@ -23,8 +23,7 @@ Scans run node-major, so an averaged scan builds each shell's first
 pulse once.  Impulsive points of the search, averaged scans and
 ``run_isolated_echo`` take propagate's amplitude kernel; the reference
 density-matrix path (``run_pulse_sequence``) runs gaussian pulses and
-the plain scans.  scipy loads only for a sin**2 fit past its lobe
-checks, the decay fit and ``master_curve_check``.
+the plain scans.
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -38,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +78,10 @@ MAX_EXTENSIONS = 3
 
 # Relative width in p2 at which the golden-section refinement stops.
 REL_TOL = 1e-3
+
+# Relative bracket width at which the fits' searches stop: far below any
+# fitted value's uncertainty, and reached in about 60 evaluations.
+FIT_REL_TOL = 1e-12
 
 _SCAN_AXES = ("dtau", "p2_kick")
 
@@ -564,10 +566,30 @@ def _first_lobe_count(s: np.ndarray) -> int:
     return n
 
 
-def fit_sin2(curve: EchoCurve) -> Sin2Fit:
-    """Least-squares a*sin(b*p2)**2 over the first lobe of a p2 scan.
+def _golden_max(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Golden-section maximum of f on [lo, hi]: the midpoint of the bracket
+    once hi - lo <= rel_tol * max(|lo|, |hi|).  The package's one 1-D search;
+    a fit maximises minus its misfit, with the amplitude projected out."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > rel_tol * max(abs(lo), abs(hi)):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
-    Needs at least 6 lobe points.  residual = RMS misfit / a.
+
+def fit_sin2(curve: EchoCurve) -> Sin2Fit:
+    """Least-squares a*sin(b*p2)**2 over the first lobe of a p2 scan: the
+    best a >= 0 is projected out, and b searched on (0, pi/p2_pk], p2_pk the
+    lobe's sampled peak.  Needs at least 6 lobe points.  residual = RMS misfit / a.
     """
     if curve.scan_axis != "p2_kick":
         raise ValueError("sin2 fit applies to p2 scans")
@@ -579,31 +601,21 @@ def fit_sin2(curve: EchoCurve) -> Sin2Fit:
         raise FitError(f"first lobe has {x.size} points; need at least 6")
 
     i_pk = int(np.argmax(y))
-    y_pk = float(y[i_pk])
-    if y_pk <= 0.0:
+    if y[i_pk] <= 0.0:
         raise FitError("first lobe has no positive amplitude to fit")
-    if 0 < i_pk < x.size - 1:
-        p0 = (y_pk, 0.5 * math.pi / x[i_pk])
-    else:
-        # Monotone rise: only a*b**2 is well determined (quadratic limit).
-        p0 = (4.0 * y_pk, 0.5 / x[-1])
-    from scipy.optimize import curve_fit
 
-    def model(p2, a, b):
-        return a * np.sin(b * p2) ** 2
+    def projected(b: float) -> tuple[float, float]:
+        """The best a >= 0 at this b and its sum of squared misfits."""
+        s = np.sin(b * x) ** 2
+        a = max(float(s @ y) / float(s @ s), 0.0)
+        return a, float(np.sum((a * s - y) ** 2))
 
-    try:
-        (a, b), _ = curve_fit(
-            model, x, y, p0=p0, bounds=([0.0, 0.0], [np.inf, np.inf]),
-            maxfev=20000, ftol=1e-13, xtol=1e-13,
-        )
-    except RuntimeError as exc:
-        raise FitError(
-            f"sin2 fit did not converge over {x.size} points "
-            f"(span {x[0]:.3g}..{x[-1]:.3g}, p0={p0})"
-        ) from exc
-    residual = float(np.sqrt(np.mean((model(x, a, b) - y) ** 2)) / a)
-    return Sin2Fit(a=float(a), b=float(b), residual=residual, n_points=int(x.size))
+    # below 1e-6 of the bracket every b gives the same a*b**2*p2**2 (the
+    # quadratic limit of a monotone rise), and the stop rule needs lo > 0
+    hi = math.pi / x[i_pk]
+    b = _golden_max(lambda b: -projected(b)[1], 1e-6 * hi, hi, FIT_REL_TOL)
+    a, sq = projected(b)
+    return Sin2Fit(a=a, b=float(b), residual=math.sqrt(sq / x.size) / a, n_points=int(x.size))
 
 
 @dataclass(frozen=True)
@@ -677,22 +689,7 @@ def find_optimal_p2(
             extensions += 1
         vals.append(abs(measure(grid[len(vals)])))
     lo, hi = grid[len(vals) - 3], grid[len(vals) - 1]
-
-    # Golden-section maximization of |s| on [lo, hi].
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = abs(measure(c)), abs(measure(d))
-    while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = abs(measure(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = abs(measure(d))
-    p2_opt = 0.5 * (lo + hi)
+    p2_opt = _golden_max(lambda p2: abs(measure(p2)), lo, hi, REL_TOL)
     return float(p2_opt), float(measure(p2_opt))
 
 
@@ -705,7 +702,6 @@ def master_curve_check(curves: list[EchoCurve]) -> MasterCurveResult:
     reference gets a factor above one.  Returns the factors (reference =
     1) and the pooled RMS deviation relative to the reference peak.
     """
-    from scipy.optimize import minimize_scalar
     if len(curves) < 2:
         raise ValueError("need at least two curves")
     for c in curves:
@@ -756,7 +752,7 @@ def master_curve_check(curves: list[EchoCurve]) -> MasterCurveResult:
         # only factors in [x[5]/xr[-1], x[-6]/xr[0]] can keep 6 points in span;
         # if none can, deviations(f0) raises the span error
         lo, hi = max(0.5 * f0, x[5] / xr[-1]), min(2.0 * f0, x[-6] / xr[0])
-        f = float(minimize_scalar(misfit, bounds=(lo, hi), method="bounded").x) if lo < hi else f0
+        f = float(_golden_max(lambda f: -misfit(f), lo, hi, FIT_REL_TOL)) if lo < hi else f0
         resid = deviations(f)
         sq_sum += float(np.sum(resid**2))
         n_sum += resid.size
@@ -771,35 +767,36 @@ def fit_decay(measurements) -> DecayFit:
 
     ``measurements`` is a sequence of (dtau, s_echo_max) pairs; the echo
     appears at 2*dtau, so the rate is per unit echo time.  A negative
-    fitted rate is flagged, not raised.
+    fitted rate is flagged, not raised.  The best amplitude is projected
+    out, and the decay over the data's span, g = exp(-rate*span), which stays
+    off 0 at rate 0, searched on g0*e**(+-4) around the log-linear estimate g0.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit
     data = np.asarray(list(measurements), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
         raise FitError("need at least 4 (dtau, s_echo_max) pairs")
-    t = 2.0 * data[:, 0]
-    y = data[:, 1]
-
-    def model(tt, amplitude, rate):
-        return amplitude * np.exp(-rate * tt)
-
+    t, y = 2.0 * data[:, 0], data[:, 1]
     pos = y > 0
     if pos.sum() < 2:
         raise FitError("need at least two positive amplitudes")
-    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
-    p0 = (math.exp(intercept), -slope)
-    try:
-        with warnings.catch_warnings():
-            # rate ~ 0 makes the covariance rank-deficient; we discard it anyway
-            warnings.simplefilter("ignore", OptimizeWarning)
-            (amplitude, rate), _ = curve_fit(model, t, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"decay fit did not converge (p0={p0})") from exc
-    residual = float(np.sqrt(np.mean((model(t, amplitude, rate) - y) ** 2)) / abs(amplitude))
+    span = float(t.max() - t.min())
+    if span == 0.0:
+        raise FitError("need at least two distinct delays")
+
+    def projected(rate: float) -> tuple[float, float]:
+        """The best amplitude at this rate and its sum of squared misfits."""
+        e = np.exp(-rate * t)
+        amplitude = float(e @ y) / float(e @ e)
+        return amplitude, float(np.sum((amplitude * e - y) ** 2))
+
+    g0 = math.exp(np.polyfit(t[pos], np.log(y[pos]), 1)[0] * span)
+    g = _golden_max(lambda g: -projected(-math.log(g) / span)[1], g0 * math.exp(-4.0),
+                    g0 * math.exp(4.0), FIT_REL_TOL)
+    rate = -math.log(g) / span
+    amplitude, sq = projected(rate)
     # flat data fits to rate = +/- epsilon; only a resolvable growth is flagged
     return DecayFit(
-        rate=float(rate),
-        amplitude=float(amplitude),
-        residual=residual,
+        rate=rate,
+        amplitude=amplitude,
+        residual=math.sqrt(sq / y.size) / abs(amplitude),
         negative=bool(rate < -1e-9),
     )

@@ -15,8 +15,7 @@ one-dimensional quadrature in the local intensity fraction
 u = exp(-2r^2/w_pump^2), distributed as u^(kappa-1) du with
 kappa = (w_pump/w_probe)^2, which Gauss-Jacobi nodes integrate exactly
 for polynomial responses.  Both pulses travel the same path, so one
-fraction scales both kicks.  Scans run shell by shell; the nodes need
-no scipy, which an averaged scan loads only for a sin**2 fit.
+fraction scales both kicks.  Scans run shell by shell.
 
 Only the transverse profile is modeled.  The crossed-beam geometry
 keeps the interaction length short enough that longitudinal variation

@@ -1,6 +1,7 @@
 """Config parsing, the command-line verbs, and the output writers."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -1044,33 +1045,55 @@ def test_version_via_module_and_script(monkeypatch, capsys):
 
 
 def test_simulate_and_opt_load_no_scipy(tmp_path):
-    # scipy is imported only by a sin2 fit that passes its lobe checks, the
-    # decay fit and the master-curve check; a child interpreter starts with
-    # no module loaded.  The averaged scan's fit fails on its lobe count.
+    # numpy is the only runtime dependency: no verb loads any scipy module,
+    # a sin2 fit and the decay fit included; a child interpreter starts
+    # with no module loaded.  The averaged scan's fit fails on its lobe count.
     sim = write_cfg(tmp_path, COLD_SIM, name="sim.cfg")
     opt = write_cfg(tmp_path, COLD_OPT, name="opt.cfg")
+    p2 = write_cfg(tmp_path, COLD_SCAN_P2, name="p2.cfg")
     avg = write_cfg(
         tmp_path,
         COLD_SCAN_AVERAGED.replace("stop = 1.5\n    count = 6", "stop = 14\n    count = 8"),
         name="avg.cfg",
     )
-    script = (
-        "import json, sys\n"
-        "from rotecho import cli\n"
-        f"assert cli.main(['simulate', '--config', {sim!r}, '--out-dir', {str(tmp_path / 's')!r}]) == 0\n"
-        f"assert cli.main(['opt', '--config', {opt!r}, '--out-dir', {str(tmp_path / 'o')!r}]) == 0\n"
-        f"assert cli.main(['scan', '--config', {avg!r}, '--out-dir', {str(tmp_path / 'a')!r}]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-    )
+    calls = [
+        ["simulate", "--config", sim], ["opt", "--config", opt], ["scan", "--config", p2],
+        ["scan", "--config", avg], ["fit-decay", "--input", str(write_decay_table(tmp_path))],
+        ["pathways", "--config", sim, "--start", "4", "--target", "6,4"],
+    ]
+    script = "import json, sys\nfrom rotecho import cli\n" + "".join(
+        f"assert cli.main({argv + ['--out-dir', str(tmp_path / str(i))]!r}) == 0\n"
+        for i, argv in enumerate(calls)
+    ) + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     got = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
-    loaded = json.loads(got.stdout.splitlines()[-1])
-    assert (tmp_path / "s" / "trace.csv").exists() and (tmp_path / "o" / "optimal_p2.csv").exists()
-    (note,) = RunManifest.load(tmp_path / "a" / "manifest.json").notes
+    assert json.loads(got.stdout.splitlines()[-1]) == []
+    written = ["trace.csv", "optimal_p2.csv", "fit_sin2.json", "scan_p2.csv", "decay_fit.json",
+               "pathways.csv"]
+    assert all((tmp_path / str(i) / name).exists() for i, name in enumerate(written))
+    (note,) = RunManifest.load(tmp_path / "3" / "manifest.json").notes
     assert note.startswith("sin2 fit: first lobe has")
-    heavy = ("scipy.optimize", "scipy.linalg", "scipy.constants")
-    assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+def test_the_package_imports_no_scipy():
+    # no module of the package imports scipy, function-local imports
+    # included, and the project's runtime dependencies name numpy only
+    imported = [
+        (path.name, name)
+        for path in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        )
+    ]
+    assert ("echo.py", "numpy") in imported
+    assert [(f, n) for f, n in imported if n.split(".")[0] == "scipy"] == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(_PYPROJECT, "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 @pytest.mark.skipif(

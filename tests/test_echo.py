@@ -389,6 +389,41 @@ def test_fit_sin2_lobe_cropping():
     assert abs(fit.b - b) / b < 1e-6
 
 
+def test_fit_sin2_lobe_ending_past_the_model_zero():
+    # the lobe is cut at its |s| minimum, 6.3, just past the zero at 2*pi;
+    # a b bracket ending at pi/6.3 would exclude the true b = 0.5
+    a, b = 1e-3, 0.5
+    fit = fit_sin2(_sin2_curve(a, b, np.arange(0.3, 8.0, 0.3)))
+    assert fit.n_points == 21
+    assert fit.b == pytest.approx(b, rel=1e-9)
+    assert fit.a == pytest.approx(a, rel=1e-9)
+
+
+def test_projected_fits_match_curve_fit_on_noisy_data():
+    # the projected searches reach curve_fit's optimum: no larger sum of
+    # squares, and the same parameters to 1e-4
+    curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.25, 4.0, 16)
+    y = 3e-3 * np.sin(0.55 * x) ** 2 + rng.normal(0.0, 5e-5, x.size)
+    fit = fit_sin2(EchoCurve("p2_kick", tuple(
+        EchoMeasurement(10.0, 1.0, float(p2), float(s), 19.8, 20.2) for p2, s in zip(x, y))))
+    x = x[: fit.n_points]
+    y = y[: fit.n_points]
+    (a, b), _ = curve_fit(lambda p2, a, b: a * np.sin(b * p2) ** 2, x, y, p0=(3e-3, 0.5),
+                          bounds=([0.0, 0.0], [np.inf, np.inf]), ftol=1e-13, xtol=1e-13)
+    assert np.sum((fit.value(x) - y) ** 2) <= np.sum((a * np.sin(b * x) ** 2 - y) ** 2) * (1 + 1e-9)
+    assert (fit.a, fit.b) == (pytest.approx(a, rel=1e-4), pytest.approx(b, rel=1e-4))
+
+    t = np.linspace(10.0, 60.0, 8)
+    y = 5e-3 * np.exp(-8e-3 * t) + rng.normal(0.0, 5e-5, t.size)
+    fit = fit_decay(zip(t / 2.0, y))
+    (amp, rate), _ = curve_fit(lambda tt, amp, rate: amp * np.exp(-rate * tt), t, y, p0=(5e-3, 8e-3))
+    ours = np.sum((fit.amplitude * np.exp(-fit.rate * t) - y) ** 2)
+    assert ours <= np.sum((amp * np.exp(-rate * t) - y) ** 2) * (1 + 1e-9)
+    assert (fit.amplitude, fit.rate) == (pytest.approx(amp, rel=1e-4), pytest.approx(rate, rel=1e-4))
+
+
 def test_fit_decay_recovers_rate():
     rate, amp = 8.0e-3, 5.0e-3
     pairs = [(d, amp * math.exp(-rate * 2 * d)) for d in (5.0, 10.0, 18.0, 26.0, 40.0)]
@@ -456,17 +491,16 @@ def test_master_curve_skips_trial_factors_that_leave_too_few_points(monkeypatch)
     # the reference spans only [3, 6]; trial factors below about 0.43 push
     # the narrow curve's upper points past 6, leaving fewer than 6 in span,
     # and the search tries only factors that can keep 6
-    import scipy.optimize
+    golden_max, tried = echo._golden_max, []
 
-    minimize_scalar, tried = scipy.optimize.minimize_scalar, []
+    def recording(f, lo, hi, rel_tol):
+        def traced(x):
+            value = f(x)
+            tried.append((x, -value))  # the search maximises minus the misfit
+            return value
+        return golden_max(traced, lo, hi, rel_tol)
 
-    def recording(fun, **kwargs):
-        def traced(f):
-            tried.append((f, fun(f)))
-            return tried[-1][1]
-        return minimize_scalar(traced, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", recording)
+    monkeypatch.setattr(echo, "_golden_max", recording)
     a = 1.0e-3
     wide = _sin2_curve(a, 0.4, np.linspace(3.0, 6.0, 16))
     x = np.linspace(1.5, 3.0, 8)
@@ -589,20 +623,11 @@ _LOBE = EchoCurve("p2_kick", _p2_points([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
          "reference curve is flat"),
         (lambda: fit_decay([(5.0, 1e-3), (8.0, -1e-3), (11.0, 0.0), (14.0, -2e-3)]), FitError,
          "need at least two positive amplitudes"),
-        (lambda: fit_sin2(_LOBE), FitError,
-         "sin2 fit did not converge over 6 points (span 0.1..0.6, p0=(2.4, np.float64(0.8333333333333333)))"),
-        (lambda: fit_decay([(5.0, 1.0), (8.0, 1.0), (11.0, 1.0), (14.0, 1.0)]), FitError,
-         "decay fit did not converge (p0=(1.0, np.float64(-0.0)))"),
+        (lambda: fit_decay([(5.0, 1.0), (5.0, 0.9), (5.0, 0.8), (5.0, 0.85)]), FitError,
+         "need at least two distinct delays"),
     ],
 )
-def test_guard_messages(call, error, message, monkeypatch):
-    import scipy.optimize
-
-    def no_convergence(*args, **kwargs):
-        raise RuntimeError("Optimal parameters not found")
-
-    # the rows that reach a curve fit see it fail to converge
-    monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+def test_guard_messages(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
