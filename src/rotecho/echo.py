@@ -769,7 +769,9 @@ def fit_decay(measurements) -> DecayFit:
     appears at 2*dtau, so the rate is per unit echo time.  A negative
     fitted rate is flagged, not raised.  The best amplitude is projected
     out, and the decay over the data's span, g = exp(-rate*span), which stays
-    off 0 at rate 0, searched on g0*e**(+-4) around the log-linear estimate g0.
+    off 0 at rate 0, searched on g0*e**(+-4) around the log-linear estimate g0,
+    weighted by y so that a point at the noise floor cannot pull it off the
+    fit.  A fit that ends at the edge of that bracket is raised.
     """
     data = np.asarray(list(measurements), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
@@ -788,9 +790,11 @@ def fit_decay(measurements) -> DecayFit:
         amplitude = float(e @ y) / float(e @ e)
         return amplitude, float(np.sum((amplitude * e - y) ** 2))
 
-    g0 = math.exp(np.polyfit(t[pos], np.log(y[pos]), 1)[0] * span)
-    g = _golden_max(lambda g: -projected(-math.log(g) / span)[1], g0 * math.exp(-4.0),
-                    g0 * math.exp(4.0), FIT_REL_TOL)
+    g0 = math.exp(np.polyfit(t[pos], np.log(y[pos]), 1, w=y[pos])[0] * span)
+    lo, hi = g0 * math.exp(-4.0), g0 * math.exp(4.0)
+    g = _golden_max(lambda g: -projected(-math.log(g) / span)[1], lo, hi, FIT_REL_TOL)
+    if min(g - lo, hi - g) <= FIT_REL_TOL * g:
+        raise FitError(f"decay fit ends at its search edge, a decay of {g:.3g} over the span")
     rate = -math.log(g) / span
     amplitude, sq = projected(rate)
     # flat data fits to rate = +/- epsilon; only a resolvable growth is flagged

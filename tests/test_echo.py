@@ -424,6 +424,45 @@ def test_projected_fits_match_curve_fit_on_noisy_data():
     assert (fit.amplitude, fit.rate) == (pytest.approx(amp, rel=1e-4), pytest.approx(rate, rel=1e-4))
 
 
+def test_fit_sin2_on_a_monotone_rise_reaches_curve_fits_optimum():
+    # the averaged cold scan's six points rise without a peak, so only a*b**2
+    # is well determined: from the start values the fit once used, curve_fit
+    # stops short on that ridge, and from the projected answer it stays put
+    curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+    x = np.linspace(0.25, 1.5, 6)
+    y = np.array([5.17712004568e-05, 2.04814162617e-04, 4.53032585069e-04,
+                  7.8654580992e-04, 1.19208621472e-03, 1.6535319353e-03])
+    fit = fit_sin2(EchoCurve("p2_kick", tuple(
+        EchoMeasurement(10.0, 1.0, float(p2), float(s), 19.8, 20.2) for p2, s in zip(x, y))))
+    assert fit.n_points == 6
+    ours = np.sum((fit.value(x) - y) ** 2)
+    for p0 in ((4.0 * y[-1], 0.5 / x[-1]), (fit.a, fit.b)):
+        (a, b), _ = curve_fit(lambda p2, a, b: a * np.sin(b * p2) ** 2, x, y, p0=p0,
+                              bounds=([0.0, 0.0], [np.inf, np.inf]), ftol=1e-13, xtol=1e-13)
+        assert ours <= np.sum((a * np.sin(b * x) ** 2 - y) ** 2) * (1 + 1e-9)
+
+
+def test_fit_decay_with_a_point_at_the_noise_floor_matches_curve_fit():
+    # an unweighted log-linear estimate gives the 1e-9 tail point as much
+    # weight as the large ones and lands e**10 away from the least-squares decay
+    curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+    dtau = np.array([5.0, 10.0, 15.0, 20.0])
+    y = np.array([1e-3, 5e-4, 2.5e-4, 1e-9])
+    fit = fit_decay(zip(dtau, y))
+    t = 2.0 * dtau
+    (amp, rate), _ = curve_fit(lambda tt, amp, rate: amp * np.exp(-rate * tt), t, y, p0=(1e-3, 0.07))
+    ours = np.sum((fit.amplitude * np.exp(-fit.rate * t) - y) ** 2)
+    assert ours <= np.sum((amp * np.exp(-rate * t) - y) ** 2) * (1 + 1e-9)
+    assert (fit.amplitude, fit.rate) == (pytest.approx(amp, rel=1e-4), pytest.approx(rate, rel=1e-4))
+
+
+def test_fit_decay_raises_when_the_fit_ends_at_its_search_edge():
+    # one step to the noise floor: every faster decay fits better, so the
+    # search runs to its bracket edge, and that edge is not reported as a rate
+    with pytest.raises(FitError, match="decay fit ends at its search edge"):
+        fit_decay([(5.0, 1e-3), (10.0, 1e-9), (15.0, 1e-9), (20.0, 1e-9)])
+
+
 def test_fit_decay_recovers_rate():
     rate, amp = 8.0e-3, 5.0e-3
     pairs = [(d, amp * math.exp(-rate * 2 * d)) for d in (5.0, 10.0, 18.0, 26.0, 40.0)]
