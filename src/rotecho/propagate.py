@@ -7,20 +7,20 @@ intensity envelope; the propagator is a chain of exact exponentials of
 the split parts on a fixed step mesh, each step Kahan and Li's
 sixth-order composition of nine Strang stages, so the evolution is
 unconditionally unitary and the splitting error falls as the sixth power
-of the step.  Neither part mixes J parity, so the pulse factors each
-(m, J-parity) half of the state as Z diag(mu) Z^dagger in the J basis and
-pushes only the columns Z through the chain: a flight is an elementwise
-phase and a kick two real products, batched for all halves of one size;
-a state with an element between even and odd J is rejected.  The
+of the step.  Neither part mixes J parity, so a pulse carries columns Z
+of each (m, J-parity) half, rho_half = Z diag(mu) Z^dagger in the J
+basis, through the chain: a flight is an elementwise phase and a kick two
+real products, batched for halves of two neighbouring sizes.  The
 impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
 
-This density-matrix path is the reference.  The optimum search,
-averaged scans and isolated echoes of impulsive configs run the
-amplitude kernel at the end of the module, which kicks the thermal
-columns W = sqrt(p) of rho = W W^dagger of the (m, J-parity) half-blocks.
-Halves of one shape are stacked, so each kick is one batched product per
-group, and their shares of a spectrum are summed in (m, h) order, which
-keeps the bits a loop over single halves gives.
+A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
+(mu = 1) from first pulse to last, with no density matrix; all-impulsive
+sequences run on the density matrix, which is the reference.  The
+optimum search, averaged scans and isolated echoes of impulsive configs
+run the amplitude kernel at the end of the module, which kicks the same
+columns with halves of one shape stacked, one batched product per group,
+and sums their shares of a spectrum in (m, h) order, which keeps the
+bits a loop over single halves gives.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def two_pulse_config(
     default to the impulsive limit, which the scans' amplitude kernel
     runs; pass shape="gaussian" to integrate the finite 0.1 ps envelope
     instead (same post-pulse physics to a few percent; for OCS at 296 K and
-    j_max = 80 one gaussian run takes about 11 times as long as an
-    impulsive one, 0.37 s against 0.033 s on one BLAS thread).
+    j_max = 80 one gaussian run takes about 7 times as long as an
+    impulsive one, 0.15 s against 0.020 s on one BLAS thread).
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
@@ -339,67 +339,89 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
         yield alphas, taus, is_sample
 
 
-def _apply_gaussian_pulse(
-    rho: MBlockDensityMatrix,
-    pulse: PulseSpec,
-    solver: SolverOptions,
-    sample_times: np.ndarray | None = None,
-) -> tuple[MBlockDensityMatrix, np.ndarray]:
-    """Sixth-order split integration across the pulse window.
+def _pulse_groups(basis: RotorBasis, halves: list) -> list:
+    """Stack (m, h, Z) halves in (m, h) order, Z a half's J-basis columns,
+    as ((m, h, rows, columns) per half, g, g * cos^2 diagonal, g * Delta-J
+    = 2 band, eigenvalues, V, J of each row, Z) groups, each array with a
+    leading half axis.  Halves with n and n + 1 rows share a group (21 at
+    j_max = 80, not 41): the smaller gets an inert level, V's identity with
+    eigenvalue, bands, amplitudes and (as J = 0) frequency 0, so its row
+    stays exactly 0, as do the zero columns that pad a narrower Z."""
+    groups = []
+    for _, run in itertools.groupby(halves, key=lambda half: half[2].shape[0] // 2):
+        members = list(run)
+        k = len(members)
+        rows, cols = (max(z.shape[i] for *_, z in members) for i in (0, 1))
+        g = np.array([MBlockDensityMatrix.degeneracy(m) for m, *_ in members])
+        (gd, lam), js = np.zeros((2, k, rows)), np.zeros((k, rows), dtype=int)
+        go, v = np.zeros((k, rows - 1)), np.tile(np.eye(rows), (k, 1, 1))
+        zs = np.zeros((k, rows, cols), dtype=complex)
+        for i, (m, h, z) in enumerate(members):
+            n, (diag, off) = z.shape[0], basis._cos2_bands(m)
+            gd[i, :n], go[i, : n - 1] = g[i] * diag[h::2], g[i] * off[h::2]
+            lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
+            js[i, :n], zs[i, :n, : z.shape[1]] = np.arange(m + h, basis.j_max + 1, 2), z
+        groups.append(([(m, h, *z.shape) for m, h, z in members], g, gd, go, lam, v, js, zs))
+    return groups
 
-    The chain alternates exact exponentials of H0 and of the coupling on
-    the stages of _pulse_segments.  Neither mixes J parity, so each (m,
-    J-parity) half is factored once in the J basis, rho_half = Z diag(mu)
-    Z^dagger with mu keeping its signs, and only the columns Z are
-    propagated: a flight tau of H0 is the row phase exp(-i*w_J*tau), and a
-    kick alpha is V (exp(i*alpha*lambda) * (V^T Z)) with (lambda, V) the
-    half's cos^2 eigensystem, two real products.  Halves of equal size are
-    stacked and stepped one size at a time.  A mid-pulse expectation value
-    is g * sum mu * z^dagger cos^2 z from the half's two cos^2 bands,
-    summed per size and then over sizes in a fixed order.  The state must
-    have no element between even and odd J (ValueError otherwise); the
-    thermal state has none, and kicks, free evolution and pulses create
-    none.
-    """
-    basis = rho.basis
-    omegas = basis.omegas(rho.molecule)
-    groups: dict[int, list] = {}
+
+def _step_pulse(groups: list, omegas, pulse: PulseSpec, solver: SolverOptions, sample_times):
+    """Carry each group's columns Z across the pulse window in place, on
+    the stages of _pulse_segments; returns <cos^2 theta> at the sample
+    times, added group after group.  A flight tau is the row phase
+    exp(-i*w_J*tau) and a kick alpha V (exp(i*alpha*lambda) * (V^T Z)), two
+    real products into buffers made once per group.  The pulse's flight
+    phases are tabled once over the levels J, and each group's kick phases
+    once for the whole pulse."""
+    segments = list(_pulse_segments(pulse, solver, sample_times))
+    alphas, taus = (np.concatenate([seg[i] for seg in segments]) for i in (0, 1))
+    levels = np.exp(-1j * np.multiply.outer(taus, omegas))
+    values = np.zeros(sum(is_sample for *_, is_sample in segments))
+    for _, _, gd, go, lam, v, js, z in groups:  # one group's tables alive at a time
+        kicks = iter(np.exp(1j * np.multiply.outer(alphas, lam))[..., None])
+        flights = iter(levels[:, js, None])
+        vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
+        yf, samples = y.view(np.float64), iter(range(values.size))
+        for stages, _, is_sample in segments:
+            if stages.size:
+                z *= next(flights)
+                for _ in stages:
+                    np.matmul(vt, zf, out=yf)
+                    y *= next(kicks)
+                    np.matmul(v, yf, out=zf)
+                    z *= next(flights)
+            if is_sample:  # Re(a b*) = a.re b.re + a.im b.im
+                rows = np.einsum("gik,gik->gi", zf, zf)
+                band = np.einsum("gik,gik->gi", zf[:, :-1], zf[:, 1:])
+                values[next(samples)] += float(np.sum(gd * rows) + 2.0 * np.sum(go * band))
+    return values
+
+
+def _apply_gaussian_pulse(
+    rho: MBlockDensityMatrix, pulse: PulseSpec, solver: SolverOptions
+) -> MBlockDensityMatrix:
+    """Sixth-order split integration of a state across the pulse window.
+
+    Each (m, J-parity) half is factored as Z diag(mu) Z^dagger in the J
+    basis, mu keeping its signs, _step_pulse carries the columns Z, and
+    the half is rebuilt as (Z mu) Z^dagger.  The state must have no element
+    between even and odd J (ValueError otherwise); kicks, free evolution
+    and pulses create none."""
+    halves = []
     for m, block in enumerate(rho.blocks):
         if np.any(block[0::2, 1::2]) or np.any(block[1::2, 0::2]):
             raise ValueError(f"block m={m} couples even and odd J")
-        g, (diag, off) = MBlockDensityMatrix.degeneracy(m), basis._cos2_bands(m)
-        for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
-            if lam.size:
-                member = (m, h, g * diag[h::2], g * off[h::2], lam, v, omegas[m + h :: 2])
-                groups.setdefault(lam.size, []).append(member)
-    segments = list(_pulse_segments(pulse, solver, () if sample_times is None else sample_times))
-    blocks = [np.zeros((basis.block_dim(m),) * 2, dtype=complex) for m in range(basis.j_max + 1)]
-    values = np.zeros(sum(is_sample for *_, is_sample in segments))
-    for members in groups.values():  # one size's state and phases alive at a time
-        ms, hs, gd, go, lam, v, om = (np.array(a) for a in zip(*members))
-        mu, z = np.linalg.eigh(np.array([rho.blocks[m][h::2, h::2] for m, h in zip(ms, hs)]))
-        vt, own = v.transpose(0, 2, 1), []
-        for alphas, taus, is_sample in segments:
-            if alphas.size:
-                kicks = np.exp(1j * np.multiply.outer(alphas, lam))[..., None]
-                flights = np.exp(-1j * np.multiply.outer(taus, om))[..., None]
-                z = z * flights[0]
-                for kick, flight in zip(kicks, flights[1:]):
-                    y = _rotate(vt, z)
-                    y *= kick
-                    z = _rotate(v, y)
-                    z *= flight
-            if is_sample:
-                zf = z.view(np.float64)  # Re(a b*) = a.re b.re + a.im b.im
-                zm = zf * np.repeat(mu, 2, axis=1)[:, None, :]
-                rows = np.einsum("gik,gik->gi", zm, zf)
-                band = np.einsum("gik,gik->gi", zm[:, :-1], zf[:, 1:])
-                own.append(float(np.sum(gd * rows) + 2.0 * np.sum(go * band)))
-        values += own
-        for m, h, half in zip(ms, hs, (z * mu[:, None, :]) @ z.conj().transpose(0, 2, 1)):
-            blocks[m][h::2, h::2] = half
-    out = MBlockDensityMatrix(basis=basis, molecule=rho.molecule, blocks=tuple(blocks))
-    return out, values
+        halves += [(m, h, block[h::2, h::2]) for h in (0, 1) if block[h::2, h::2].size]
+    groups = _pulse_groups(rho.basis, halves)
+    factors = [np.linalg.eigh(zs) for *_, zs in groups]  # a padded level gets mu = 0
+    for (*_, zs), (_, z) in zip(groups, factors):
+        zs[...] = z
+    _step_pulse(groups, rho.basis.omegas(rho.molecule), pulse, solver, ())
+    blocks = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
+    for (members, *_, zs), (mu, _) in zip(groups, factors):
+        for (m, h, n, _), half in zip(members, (zs * mu[:, None]) @ zs.conj().transpose(0, 2, 1)):
+            blocks[m][h::2, h::2] = half[:n, :n]
+    return MBlockDensityMatrix(basis=rho.basis, molecule=rho.molecule, blocks=tuple(blocks))
 
 
 def apply_pulse(
@@ -417,8 +439,7 @@ def apply_pulse(
         solver = SolverOptions()
     if pulse.shape == "impulsive":
         return impulsive_kick(rho, pulse.kick)
-    out, _ = _apply_gaussian_pulse(rho, pulse, solver)
-    return out
+    return _apply_gaussian_pulse(rho, pulse, solver)
 
 
 def _check_drift(trace: float, defect: float = 0.0) -> None:
@@ -438,6 +459,40 @@ def _sample_times(config: ExperimentConfig) -> np.ndarray:
     return config.dt_sample * np.arange(n_samples)
 
 
+def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, times) -> tuple:
+    """run_pulse_sequence's (stages, in-pulse samples) from the thermal
+    columns W = sqrt(p) of each populated (m, J-parity) half, rho = W
+    W^dagger, carried from the first pulse to the last: a free flight is a
+    row phase, an impulsive pulse one kick and a gaussian one _step_pulse.
+    Spectra and weighted traces are row dot products, added by group."""
+    p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
+    roots = ((m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1)))
+    halves = [(m, h, np.diag(w)[:, w > 0]) for m, h, w in roots if np.any(w)]
+    groups, omegas = _pulse_groups(basis, halves), basis.omegas(config.molecule)
+    stages, inner, cursor = [], [], min(0.0, windows[0][0])
+    for pulse, (w_start, w_end) in zip(config.pulses, windows):
+        for *_, lam, v, js, z in groups:
+            if w_start > cursor:
+                z *= np.exp(-1j * (w_start - cursor) * omegas)[js, None]
+            if pulse.shape == "impulsive":
+                y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
+                z[...] = _rotate(v, y)
+        if pulse.shape == "gaussian":
+            lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
+            inner.append((lo, hi, _step_pulse(groups, omegas, pulse, config.solver, times[lo:hi])))
+        amp, dc, norm = np.zeros(basis.j_max + 1, dtype=complex), 0.0, 0.0
+        for members, g, gd, go, *_, z in groups:
+            pop = np.einsum("gik,gik->gi", z.view(np.float64), z.view(np.float64))
+            dc, norm = dc + float(np.sum(gd * pop)), norm + float(g @ pop.sum(axis=1))
+            coh = go * np.einsum("gik,gik->gi", z[:, :-1], z[:, 1:].conj())
+            for (m, h, *_), c in zip(members, coh):  # a padded half's last lands past j_max - 2
+                amp[m + h : m + h + 2 * c.size : 2] += c
+        _check_drift(norm)
+        stages.append((w_end, (dc, amp[: basis.j_max - 1], omegas[2:] - omegas[:-2])))
+        cursor = w_end
+    return stages, inner
+
+
 def run_pulse_sequence(
     config: ExperimentConfig,
     basis: RotorBasis | None = None,
@@ -451,31 +506,26 @@ def run_pulse_sequence(
     impulsive kick instant records the post-kick value.  A trace outside
     [-1/3, 2/3] by more than RANGE_TOL raises ToleranceError.
     """
-    solver = config.solver
     if basis is None:
         basis = RotorBasis(config.resolve_j_max())
-    rho = thermal_state(config.molecule, basis, solver.truncation_tol)
-
     windows = [_pulse_window(p) for p in config.pulses]
     for i in range(len(windows) - 1):
         if windows[i][1] > windows[i + 1][0]:
             raise ValueError("pulse windows overlap; increase the delay")
 
     times = _sample_times(config)
-    stages, inner = [], []
-    cursor = min(0.0, windows[0][0])
-    for pulse, (w_start, w_end) in zip(config.pulses, windows):
-        if w_start > cursor:
-            rho = free_evolve(rho, w_start - cursor)
-        if pulse.shape == "impulsive":
+    if any(p.shape == "gaussian" for p in config.pulses):
+        stages, inner = _column_stages(config, basis, windows, times)
+    else:
+        rho = thermal_state(config.molecule, basis, config.solver.truncation_tol)
+        stages, inner, cursor = [], [], min(0.0, windows[0][0])
+        for pulse, (w_start, w_end) in zip(config.pulses, windows):
+            if w_start > cursor:
+                rho = free_evolve(rho, w_start - cursor)
             rho = impulsive_kick(rho, pulse.kick)
-        else:
-            lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
-            rho, vals = _apply_gaussian_pulse(rho, pulse, solver, times[lo:hi])
-            inner.append((lo, hi, vals))
-        _check_drift(rho.weighted_trace(), rho.hermiticity_defect())
-        stages.append((w_end, _coherence_spectrum(rho)))
-        cursor = w_end
+            _check_drift(rho.weighted_trace(), rho.hermiticity_defect())
+            stages.append((w_end, _coherence_spectrum(rho)))
+            cursor = w_end
 
     values = _piecewise(times, stages)
     for lo, hi, vals in inner:

@@ -1,6 +1,8 @@
 """Propagator: exact free phases, unitary kicks, sampled traces."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from rotecho import (
     two_pulse_config,
 )
 from rotecho.basis import MBlockDensityMatrix
-from rotecho.errors import ToleranceError
-from rotecho.propagate import HERM_TOL, _check_drift, with_substeps
+from rotecho.errors import ToleranceError, TruncationError
+from rotecho.propagate import HERM_TOL, _check_drift, _piecewise, with_substeps
 
 COLD = MoleculeSpec(b_cm=0.2034, temperature_k=30.0, name="OCS-cold")
 
@@ -137,6 +139,30 @@ def test_run_pulse_sequence_rejects_a_trace_out_of_range(ocs, trev, monkeypatch)
     monkeypatch.setattr(propagate, "_piecewise", lambda *a: piecewise(*a) + 1.0)
     with pytest.raises(ToleranceError, match="out of"):
         run_two_pulse(two_pulse_config(ocs, 0.5, 0.3, 0.07 * trev))
+
+
+@pytest.mark.parametrize(
+    "j_max, patches, error, message",
+    [
+        (10, {}, TruncationError,
+         r"population 1\.007e-01 at J = 10 exceeds tolerance 1\.0e-02; increase j_max"),
+        (24, {"TRACE_TOL": 1e-300}, ToleranceError, r"trace drift \d\.\d{3}e-\d{2} exceeds 1\.0e-300"),
+        (24, {"_piecewise": lambda *a: _piecewise(*a) + 1.0}, ToleranceError,
+         r"alignment out of \[-1/3, 2/3\]: \[.*\]"),
+    ],
+)
+def test_guards_of_a_gaussian_sequence(monkeypatch, j_max, patches, error, message):
+    # a sequence with a gaussian pulse runs on the thermal columns and never
+    # builds the dense thermal state; each guard still fires on that route
+    from rotecho import propagate
+
+    monkeypatch.setattr(propagate, "thermal_state", mock.Mock(side_effect=AssertionError))
+    for name, value in patches.items():
+        monkeypatch.setattr(propagate, name, value)
+    cfg = two_pulse_config(COLD, 0.5, 0.3, 0.07 * revival_period(COLD), shape="gaussian", j_max=j_max)
+    with pytest.raises(error) as exc:
+        run_pulse_sequence(cfg)
+    assert re.fullmatch(message, str(exc.value))
 
 
 def test_two_pulse_config_wiring(ocs, trev):
