@@ -21,9 +21,9 @@ search: a point's window is placed once, before any node runs, and the
 nodes' window samples are summed in fixed node order and measured once.
 Scans run node-major, so an averaged scan builds each shell's first
 pulse once.  Impulsive points of the search, averaged scans and
-``run_isolated_echo`` take propagate's amplitude kernel; the reference
-density-matrix path (``run_pulse_sequence``) runs gaussian pulses and
-the plain scans.
+``run_isolated_echo`` take propagate's amplitude kernel.  The plain scans
+and gaussian configs take ``run_pulse_sequence``: the thermal columns
+for a gaussian sequence, the reference density matrix for an impulsive one.
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -286,7 +286,7 @@ def _trace_values(
 ) -> np.ndarray:
     """Isolated trace of a two-pulse config on the ``select`` part of its
     grid.  With kernel, impulsive configs take the amplitude kernel,
-    which evaluates only those samples; others run the density-matrix path
+    which evaluates only those samples; others run run_pulse_sequence
     and cache the first-pulse-only trace by its config, shared by a p2 scan."""
     if kernel and all(p.shape == "impulsive" for p in config.pulses):
         times = _sample_times(config)[select]

@@ -8,9 +8,10 @@ the split parts on a fixed step mesh, each step Kahan and Li's
 sixth-order composition of nine Strang stages, so the evolution is
 unconditionally unitary and the splitting error falls as the sixth power
 of the step.  Neither part mixes J parity, so a pulse carries columns Z
-of each (m, J-parity) half, rho_half = Z diag(mu) Z^dagger in the J
-basis, through the chain: a flight is an elementwise phase and a kick two
-real products, batched for halves of two neighbouring sizes.  The
+of each (m, J-parity) half in the J basis through the chain: a flight is
+an elementwise phase and a kick two real products, batched for halves of
+two neighbouring sizes.  apply_pulse carries identity columns, which
+gives each half's propagator U, and sandwiches each block with it.  The
 impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
 
 A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
@@ -341,12 +342,13 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
 
 def _pulse_groups(basis: RotorBasis, halves: list) -> list:
     """Stack (m, h, Z) halves in (m, h) order, Z a half's J-basis columns,
-    as ((m, h, rows, columns) per half, g, g * cos^2 diagonal, g * Delta-J
-    = 2 band, eigenvalues, V, J of each row, Z) groups, each array with a
-    leading half axis.  Halves with n and n + 1 rows share a group (21 at
-    j_max = 80, not 41): the smaller gets an inert level, V's identity with
-    eigenvalue, bands, amplitudes and (as J = 0) frequency 0, so its row
-    stays exactly 0, as do the zero columns that pad a narrower Z."""
+    as (g * cos^2 diagonal, g * Delta-J = 2 band, g, eigenvalues, V, J of
+    each row, Z, (m, h, rows, columns) per half) groups, each array with a
+    leading half axis; the first three are the layout _spectra reads.
+    Halves with n and n + 1 rows share a group (21 at j_max = 80, not 41):
+    the smaller gets an inert level, V's identity with eigenvalue, bands,
+    amplitudes and (as J = 0) frequency 0, so its row stays exactly 0, as
+    do the zero columns that pad a narrower Z."""
     groups = []
     for _, run in itertools.groupby(halves, key=lambda half: half[2].shape[0] // 2):
         members = list(run)
@@ -361,7 +363,7 @@ def _pulse_groups(basis: RotorBasis, halves: list) -> list:
             gd[i, :n], go[i, : n - 1] = g[i] * diag[h::2], g[i] * off[h::2]
             lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
             js[i, :n], zs[i, :n, : z.shape[1]] = np.arange(m + h, basis.j_max + 1, 2), z
-        groups.append(([(m, h, *z.shape) for m, h, z in members], g, gd, go, lam, v, js, zs))
+        groups.append((gd, go, g, lam, v, js, zs, [(m, h, *z.shape) for m, h, z in members]))
     return groups
 
 
@@ -377,7 +379,7 @@ def _step_pulse(groups: list, omegas, pulse: PulseSpec, solver: SolverOptions, s
     alphas, taus = (np.concatenate([seg[i] for seg in segments]) for i in (0, 1))
     levels = np.exp(-1j * np.multiply.outer(taus, omegas))
     values = np.zeros(sum(is_sample for *_, is_sample in segments))
-    for _, _, gd, go, lam, v, js, z in groups:  # one group's tables alive at a time
+    for gd, go, _, lam, v, js, z, _ in groups:  # one group's tables alive at a time
         kicks = iter(np.exp(1j * np.multiply.outer(alphas, lam))[..., None])
         flights = iter(levels[:, js, None])
         vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
@@ -402,26 +404,19 @@ def _apply_gaussian_pulse(
 ) -> MBlockDensityMatrix:
     """Sixth-order split integration of a state across the pulse window.
 
-    Each (m, J-parity) half is factored as Z diag(mu) Z^dagger in the J
-    basis, mu keeping its signs, _step_pulse carries the columns Z, and
-    the half is rebuilt as (Z mu) Z^dagger.  The state must have no element
-    between even and odd J (ValueError otherwise); kicks, free evolution
-    and pulses create none."""
-    halves = []
-    for m, block in enumerate(rho.blocks):
-        if np.any(block[0::2, 1::2]) or np.any(block[1::2, 0::2]):
-            raise ValueError(f"block m={m} couples even and odd J")
-        halves += [(m, h, block[h::2, h::2]) for h in (0, 1) if block[h::2, h::2].size]
+    _step_pulse carries the identity columns of each (m, J-parity) half,
+    which makes them that half's propagator U across the window; each m
+    block is then sandwiched as U rho U^dagger, as impulsive_kick does."""
+    halves = [(m, h, np.eye(n)) for m, block in enumerate(rho.blocks)
+              for h in (0, 1) if (n := block[h::2].shape[0])]
     groups = _pulse_groups(rho.basis, halves)
-    factors = [np.linalg.eigh(zs) for *_, zs in groups]  # a padded level gets mu = 0
-    for (*_, zs), (_, z) in zip(groups, factors):
-        zs[...] = z
     _step_pulse(groups, rho.basis.omegas(rho.molecule), pulse, solver, ())
-    blocks = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
-    for (members, *_, zs), (mu, _) in zip(groups, factors):
-        for (m, h, n, _), half in zip(members, (zs * mu[:, None]) @ zs.conj().transpose(0, 2, 1)):
-            blocks[m][h::2, h::2] = half[:n, :n]
-    return MBlockDensityMatrix(basis=rho.basis, molecule=rho.molecule, blocks=tuple(blocks))
+    us = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
+    for *_, zs, members in groups:
+        for (m, h, n, _), z in zip(members, zs):
+            us[m][h::2, h::2] = z[:n, :n]
+    blocks = tuple(u @ block @ u.conj().T for u, block in zip(us, rho.blocks))
+    return MBlockDensityMatrix(basis=rho.basis, molecule=rho.molecule, blocks=blocks)
 
 
 def apply_pulse(
@@ -464,14 +459,18 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
     columns W = sqrt(p) of each populated (m, J-parity) half, rho = W
     W^dagger, carried from the first pulse to the last: a free flight is a
     row phase, an impulsive pulse one kick and a gaussian one _step_pulse.
-    Spectra and weighted traces are row dot products, added by group."""
+    After each pulse _spectra reads the spectrum and the weighted norm."""
     p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
     roots = ((m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1)))
     halves = [(m, h, np.diag(w)[:, w > 0]) for m, h, w in roots if np.any(w)]
     groups, omegas = _pulse_groups(basis, halves), basis.omegas(config.molecule)
+    # clamped: a padded half's last coherence is exactly 0 and may point past j_max - 2
+    targets = np.concatenate([m + h + np.arange(0, 2 * go.shape[1], 2)
+                              for _, go, *_, members in groups for m, h, *_ in members])
+    thermal = (groups, np.minimum(targets, basis.j_max - 2), omegas[2:] - omegas[:-2])
     stages, inner, cursor = [], [], min(0.0, windows[0][0])
     for pulse, (w_start, w_end) in zip(config.pulses, windows):
-        for *_, lam, v, js, z in groups:
+        for *_, lam, v, js, z, _ in groups:
             if w_start > cursor:
                 z *= np.exp(-1j * (w_start - cursor) * omegas)[js, None]
             if pulse.shape == "impulsive":
@@ -480,15 +479,7 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
         if pulse.shape == "gaussian":
             lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
             inner.append((lo, hi, _step_pulse(groups, omegas, pulse, config.solver, times[lo:hi])))
-        amp, dc, norm = np.zeros(basis.j_max + 1, dtype=complex), 0.0, 0.0
-        for members, g, gd, go, *_, z in groups:
-            pop = np.einsum("gik,gik->gi", z.view(np.float64), z.view(np.float64))
-            dc, norm = dc + float(np.sum(gd * pop)), norm + float(g @ pop.sum(axis=1))
-            coh = go * np.einsum("gik,gik->gi", z[:, :-1], z[:, 1:].conj())
-            for (m, h, *_), c in zip(members, coh):  # a padded half's last lands past j_max - 2
-                amp[m + h : m + h + 2 * c.size : 2] += c
-        _check_drift(norm)
-        stages.append((w_end, (dc, amp[: basis.j_max - 1], omegas[2:] - omegas[:-2])))
+        stages.append((w_end, _spectra(thermal, [z for *_, z, _ in groups], 1)[0]))
         cursor = w_end
     return stages, inner
 
@@ -595,7 +586,9 @@ def _spectra(thermal: tuple, states, n_states: int) -> list:
     them; states holds one (halves, rows, n_states * columns) amplitude
     array per group, reduced at once to row dot products.  The halves'
     shares are then added one after another in (m, h) order, the order that
-    fixes the bits of each sum.  Checks each weighted norm."""
+    fixes the bits of each sum.  Checks each weighted norm.  Called by the
+    amplitude kernel and by _column_stages, whose padded halves' clamped
+    last targets add an exact 0."""
     groups, targets, freqs = thermal
     dc, norm, coh = [], [], []
     for (gcd, gco, g, *_), z in zip(groups, states):
@@ -624,10 +617,11 @@ def _impulsive_values(
     cache keeps the thermal groups and one first-pulse entry: the
     post-kick-1 spectrum and, per group, X = V^T F(dtau) W_1 with F the free
     phases.  With the entry go the pieces of the last window it served that
-    no second kick changes: the trace up to the second kick, the
-    first-pulse-only trace and exp(i*outer(t - t_b, freqs)).  The second
-    kick then costs one batched product V @ (exp(i*kick*lambda) *
-    [X | V^T W]) per group for the two-pulse and second-pulse-only
+    no second kick changes: the first-pulse-only trace from the second kick
+    on and exp(i*outer(t - t_b, freqs)).  Before the second kick the
+    two-pulse trace is the first-pulse-only one, so the result is 0 there.
+    The second kick then costs one batched product V @ (exp(i*kick*lambda)
+    * [X | V^T W]) per group for the two-pulse and second-pulse-only
     amplitudes, and one matrix-vector product per amplitude."""
     (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
     dtau = t_b - t_a
@@ -651,21 +645,14 @@ def _impulsive_values(
     _, s1, xs = cache["first"]
     window = (t_a, t_b, times.tobytes())
     if cache.get("window", (None,))[0] != window:
-        lo_a, lo_b = (int(np.searchsorted(times, t, side="left")) for t in (t_a, t_b))
-        head = np.full(lo_b, 1.0 / 3.0)
-        head[lo_a:] = _free_values(s1, times[lo_a:lo_b] - t_a)
+        lo_b = int(np.searchsorted(times, t_b, side="left"))
         phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
-        cache["window"] = (window, head, phases, _piecewise(times, [(t_a, s1)]))
-    _, head, phases, only_1 = cache["window"]
-
-    def trace(spectrum, before: np.ndarray) -> np.ndarray:
-        """_piecewise's values: before, then spectrum from the second kick on."""
-        dc, amp, _ = spectrum
-        return np.concatenate([before, dc + 2.0 * (phases @ amp).real]) - 1.0 / 3.0
-
+        cache["window"] = (window, lo_b, phases, _piecewise(times[lo_b:], [(t_a, s1)]))
+    _, lo_b, phases, only_1 = cache["window"]
     second_kick = (
         _rotate(v, np.exp(1j * k2 * lam)[..., None] * np.concatenate([x, vt_w], axis=2))
         for (*_, lam, v, _, vt_w), x in zip(groups, xs)
     )
-    s12, s2 = _spectra(thermal, second_kick, 2)
-    return trace(s12, head) - only_1 - trace(s2, np.full(head.size, 1.0 / 3.0))
+    two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0
+                   for dc, amp, _ in _spectra(thermal, second_kick, 2))
+    return np.concatenate([np.zeros(lo_b), two - only_1 - second])

@@ -5,6 +5,7 @@ traces, each run through ``run_pulse_sequence`` on density matrices.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,18 +82,26 @@ def test_kernel_matches_the_reference_composition(
         assert np.max(np.abs(windowed - isolated[select])) <= TOL
 
 
-def test_gaussian_configs_keep_the_density_matrix_path():
+def test_mixed_configs_take_the_column_route_not_the_kernel():
+    # the two runs with a gaussian pulse take run_pulse_sequence's thermal
+    # columns: no dense thermal state and no amplitude kernel.  The cached
+    # first-pulse trace is all-impulsive, so it is built beforehand, densely
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=5.0)
     cfg = two_pulse_config(mol, 0.5, 0.5, 0.1 * revival_period(mol), j_max=12)
     second = PulseSpec(t0=cfg.pulses[1].t0, kick=0.5, shape="gaussian")
     cfg = replace(cfg, pulses=(cfg.pulses[0], second))
     basis = RotorBasis(12)
     _, isolated = _reference(cfg, basis)
-    assert np.array_equal(_trace_values(cfg, basis, {}), isolated)
+    first = replace(cfg, pulses=cfg.pulses[:1])
+    cache = {first: run_pulse_sequence(first, basis=basis).values}
+    with mock.patch("rotecho.propagate.thermal_state", side_effect=AssertionError("dense")), \
+            mock.patch("rotecho.echo._impulsive_values", side_effect=AssertionError("kernel")):
+        values = _trace_values(cfg, basis, cache)
+    assert np.array_equal(values, isolated)
 
 
 def test_trace_drift_guard_covers_impulsive_runs(monkeypatch):
-    # gaussian runs take the factored pulse kernel inside run_pulse_sequence
+    # gaussian runs take the thermal column route inside run_pulse_sequence
     monkeypatch.setattr(propagate, "TRACE_TOL", 1e-300)
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=30.0)
     dtau = 0.125 * revival_period(mol)

@@ -1,4 +1,4 @@
-"""The factored gaussian pulse kernel against a dense full-block oracle.
+"""The gaussian pulse kernel against a dense full-block oracle.
 
 The oracle runs the split chain on the whole density matrix of each m
 block, rho~ <- Q rho~ Q^dagger, on the same stages (Kahan and Li's
@@ -42,8 +42,9 @@ kicks = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 
 
 def _dense_pulse(rho, pulse, solver, sample_times=None):
-    """The split chain sandwiching each full m block; same returns as
-    propagate._apply_gaussian_pulse."""
+    """The split chain sandwiching each full m block: the state after the
+    pulse, as propagate._apply_gaussian_pulse returns it, and the
+    <cos^2 theta> values at sample_times."""
     basis, omegas = rho.basis, rho.basis.omegas(rho.molecule)
     eig = [basis.cos2_eigensystem(m) for m in range(basis.j_max + 1)]
     tilde = [v.T @ block @ v for (_, v), block in zip(eig, rho.blocks)]
@@ -107,8 +108,8 @@ def test_gaussian_kernel_matches_the_dense_oracle(
     temperature, weight_odd, j_max, first, k1, k2, substeps, samples_per_window
 ):
     # truncation_tol = 1 admits small bases at 296 K; a first pulse of
-    # either shape hands the second one a non-diagonal state to factor, and
-    # its change to the thermal state is Hermitian with negative eigenvalues
+    # either shape hands the second one a non-diagonal state, and its
+    # change to the thermal state is Hermitian with negative eigenvalues
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_odd=weight_odd)
     solver = SolverOptions(substeps=substeps, truncation_tol=1.0)
     p1 = PulseSpec(t0=0.5, kick=k1, shape=first)
@@ -130,14 +131,23 @@ def test_gaussian_kernel_matches_the_dense_oracle(
 
 
 @pytest.mark.parametrize("element", [(0, 1), (3, 2)])
-def test_gaussian_pulse_rejects_an_element_between_even_and_odd_j(element):
+def test_gaussian_pulse_carries_an_element_between_even_and_odd_j(element):
+    # the pulse sandwiches each block with its propagator, so an element
+    # between even and odd J is carried, not refused, and nothing is factored
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=5.0)
-    rho = thermal_state(mol, RotorBasis(6), 1.0)
+    basis = RotorBasis(6)
+    rho = thermal_state(mol, basis, 1.0)
     block = rho.blocks[1].copy()
     block[element] = 1e-3
-    bad = MBlockDensityMatrix(rho.basis, mol, rho.blocks[:1] + (block,) + rho.blocks[2:])
-    with pytest.raises(ValueError, match="even and odd J"):
-        apply_pulse(bad, PulseSpec(t0=0.0, kick=0.5))
+    mixed = MBlockDensityMatrix(basis, mol, rho.blocks[:1] + (block,) + rho.blocks[2:])
+    pulse = PulseSpec(t0=0.0, kick=0.5)
+    for m in range(basis.j_max + 1):
+        basis.cos2_eigensystem(m)
+    with mock.patch("numpy.linalg.eigh", side_effect=AssertionError("eigh")):
+        out = apply_pulse(mixed, pulse)
+    dense = _dense_pulse(mixed, pulse, SolverOptions())[0]
+    assert max(np.max(np.abs(a - b)) for a, b in zip(out.blocks, dense.blocks)) <= TOL
+    assert abs(out.blocks[1][element]) > 1e-4
 
 
 def _envelope_filter(sigma: float, delta_omega: np.ndarray) -> np.ndarray:

@@ -4,12 +4,16 @@ A settable value is a parameter with a default on a public module-level
 function, a parameter with a default on a public method (``__init__``
 left out), or a dataclass field with a default or ``default_factory``.
 A run config's keys and the command line's options are counted apart.
+So is the line count of ``src/rotecho/*.py``, newlines as ``wc -l``
+counts them.  A change that raises any of the four bounds records why in
+CHANGES.md.
 """
 
 import argparse
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 from rotecho import cli, config
 
@@ -17,6 +21,7 @@ MODULES = ("basis", "propagate", "echo", "focal", "pathways", "config", "runio",
 MAX_SETTABLE = 48
 MAX_CONFIG_KEYS = 29
 MAX_CLI_OPTIONS = 14
+MAX_SRC_LINES = 3339
 
 
 def defaulted(function, owner):
@@ -75,3 +80,9 @@ def test_cli_options_do_not_grow():
     found = cli_options()
     assert len(found) == len(set(found))
     assert len(found) <= MAX_CLI_OPTIONS, found
+
+
+def test_src_line_count_does_not_grow():
+    sources = pathlib.Path(cli.__file__).parent.glob("*.py")
+    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    assert lines <= MAX_SRC_LINES, lines
