@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,9 +127,9 @@ class RotorBasis:
 
     A basis stores no coupling matrix, only what its readers read, each
     computed on first use and kept read-only: the two bands of each
-    coupling block and the eigensystems of its J-parity halves.  The
-    eigensystems make repeated pulse applications cheap, and read-only
-    caches let scans share a basis.
+    coupling block and the eigensystems of its J-parity halves, stacked
+    by size.  The eigensystems make repeated pulse applications cheap,
+    and read-only caches let scans share a basis.
     """
 
     def __init__(self, j_max: int):
@@ -136,7 +137,7 @@ class RotorBasis:
             raise ValueError("j_max must be at least 2")
         self.j_max = int(j_max)
         self._band_cache: dict[int, tuple] = {}
-        self._eig_cache: dict[int, tuple] = {}
+        self._eig_halves: list[tuple] = []
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RotorBasis(j_max={self.j_max})"
@@ -177,15 +178,23 @@ class RotorBasis:
         return np.concatenate([w0, w1]), v
 
     def _parity_eigensystems(self, m: int) -> tuple:
-        """Eigensystems of the J-parity halves of cos2_block(m), rows 0::2
-        and 1::2 (cos^2 never mixes J parity); half 1 is empty at m = j_max."""
-        if m not in self._eig_cache:
-            block = self.cos2_block(m)
-            halves = tuple(np.linalg.eigh(block[h::2, h::2]) for h in (0, 1))
-            for a in (a for half in halves for a in half):
-                a.setflags(write=False)
-            self._eig_cache[m] = halves
-        return self._eig_cache[m]
+        """Eigensystems of cos2_block(m)'s J-parity halves, rows 0::2 and 1::2
+        (cos^2 never mixes parity), as views; half 1 is empty at m = j_max."""
+        return tuple((lam[i], v[i]) for _, lam, v, i in self._parity_halves()[2 * m : 2 * m + 2])
+
+    def _parity_halves(self) -> list:
+        """((m, h), eigenvalues, V, i) per half in (m, h) order: its eigensystem
+        is entry i of the stacks of its run of equal-size halves, built on
+        first use with one batched eigh per run and kept read-only."""
+        if not self._eig_halves:
+            halves = itertools.product(range(self.j_max + 1), (0, 1))
+            for _, run in itertools.groupby(halves, key=lambda mh: (self.j_max - sum(mh)) // 2):
+                run = tuple(run)  # one run's dense blocks alive at a time
+                lam, v = np.linalg.eigh(np.array([self.cos2_block(m)[h::2, h::2] for m, h in run]))
+                lam.setflags(write=False)
+                v.setflags(write=False)
+                self._eig_halves += [(mh, lam, v, i) for i, mh in enumerate(run)]
+        return self._eig_halves
 
     def omegas(self, molecule: MoleculeSpec) -> np.ndarray:
         """Level angular frequencies w_J for J = 0 .. j_max, rad/ps."""

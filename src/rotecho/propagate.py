@@ -553,31 +553,29 @@ def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
     """(groups, spectrum index of each Delta-J = 2 element, coherence
     frequencies) of the thermal state.
 
-    A half is one (m, J-parity) block with populated levels.  Taken in
-    (m, h) order, each run of halves with equal (rows, populated columns)
-    shape is stacked into one group: at j_max = 120 the 241 halves make 61
-    groups of at most 4.  A group is (g * cos^2 diagonal, g * Delta-J = 2
-    elements, degeneracy g, eigenvalues, V, level frequencies, V^T W), each
-    with a leading half axis, W = sqrt(p) on the populated levels; it holds
-    the only stacked copy of them.  The element indices follow the halves'
-    (m, h) order, which the groups keep."""
+    A group is a run of the basis's equal-size (m, J-parity) halves with
+    equal populated count c > 0 (p falls with J in a parity, so those
+    levels lead): 61 groups of at most 4 at j_max = 120, 296 K.  It holds
+    g * cos^2 diagonal, g * Delta-J = 2 band, g, level frequencies, w =
+    sqrt(p) on the c levels, and views of the basis's eigenvalues and V,
+    each with a leading half axis in (m, h) order, as the element indices."""
     p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
     omegas = basis.omegas(config.molecule)
 
-    def halves():  # stacked run by run, so one run's copies are alive at a time
-        for m in range(basis.j_max + 1):
-            g, (diag, off) = MBlockDensityMatrix.degeneracy(m), basis._cos2_bands(m)
-            for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
-                pop, cols = p[m + h :: 2], np.flatnonzero(p[m + h :: 2])
-                if cols.size:
-                    yield (m + h, g * diag[h::2], g * off[h::2], g,
-                           lam, v, omegas[m + h :: 2], v.T[:, cols] * np.sqrt(pop[cols]))
+    def halves():  # every half of the basis, keyed by (rows, c)
+        for (m, h), lam, v, i in basis._parity_halves():
+            (diag, off), pop = basis._cos2_bands(m), p[m + h :: 2]
+            g = MBlockDensityMatrix.degeneracy(m)
+            yield ((lam.shape[1], c := np.count_nonzero(pop)), (lam[i:], v[i:]), m + h,
+                   g * diag[h::2], g * off[h::2], g, omegas[m + h :: 2], np.sqrt(pop[:c]))
 
-    runs = itertools.groupby(halves(), key=lambda half: half[-1].shape)
-    groups = [tuple(np.array(a) for a in zip(*run)) for _, run in runs]
-    targets = np.concatenate(
-        [(j0[:, None] + np.arange(0, 2 * gco.shape[1], 2)).ravel() for j0, _, gco, *_ in groups]
-    )
+    groups = []
+    for (_, c), run in itertools.groupby(halves(), key=lambda half: half[0]):
+        _, tails, *fields = zip(*run)  # tails[0]: the stacks from the run's first half on
+        if c:
+            groups.append((*(np.array(a) for a in fields), *(a[: len(tails)] for a in tails[0])))
+    targets = np.concatenate([(j0[:, None] + np.arange(0, 2 * gco.shape[1], 2)).ravel()
+                              for j0, _, gco, *_ in groups])
     return [group[1:] for group in groups], targets, omegas[2:] - omegas[:-2]
 
 
@@ -620,22 +618,23 @@ def _impulsive_values(
     no second kick changes: the first-pulse-only trace from the second kick
     on and exp(i*outer(t - t_b, freqs)).  Before the second kick the
     two-pulse trace is the first-pulse-only one, so the result is 0 there.
-    The second kick then costs one batched product V @ (exp(i*kick*lambda)
-    * [X | V^T W]) per group for the two-pulse and second-pulse-only
+    A kick forms V^T W = V^T[:, :c] w where it reads it.  The second kick
+    costs one product V @ (exp(i*kick*lambda) * [X | V^T W]) per group, on
+    one buffer phased in place, for the two-pulse and second-pulse-only
     amplitudes, and one matrix-vector product per amplitude."""
     (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
     dtau = t_b - t_a
     if "thermal" not in cache:
         cache["thermal"] = _thermal_halves(config, basis)
-    thermal = cache["thermal"]
-    groups = thermal[0]
+    thermal, groups = cache["thermal"], cache["thermal"][0]
     if cache.get("first", (None,))[0] != (k1, dtau):
         for entry in ("first", "window"):  # free the old entry before building the new one
             cache.pop(entry, None)
         xs = []
 
         def first_kick():  # one group's W_1 alive at a time
-            for *_, lam, v, om, vt_w in groups:
+            for *_, om, w, lam, v in groups:
+                vt_w = v.transpose(0, 2, 1)[..., : w.shape[1]] * w[:, None, :]
                 w1 = _rotate(v, np.exp(1j * k1 * lam)[..., None] * vt_w)
                 xs.append(_rotate(v.transpose(0, 2, 1), np.exp(-1j * dtau * om)[..., None] * w1))
                 yield w1
@@ -649,10 +648,14 @@ def _impulsive_values(
         phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
         cache["window"] = (window, lo_b, phases, _piecewise(times[lo_b:], [(t_a, s1)]))
     _, lo_b, phases, only_1 = cache["window"]
-    second_kick = (
-        _rotate(v, np.exp(1j * k2 * lam)[..., None] * np.concatenate([x, vt_w], axis=2))
-        for (*_, lam, v, _, vt_w), x in zip(groups, xs)
-    )
+
+    def second_kick():  # [X | V^T W] written and kicked in one buffer per group
+        for (*_, w, lam, v), x in zip(groups, xs):
+            buf, c = np.empty((*x.shape[:2], 2 * w.shape[1]), dtype=complex), w.shape[1]
+            buf[..., :c] = x
+            np.multiply(v.transpose(0, 2, 1)[..., :c], w[:, None, :], out=buf[..., c:])
+            yield _rotate(v, np.multiply(np.exp(1j * k2 * lam)[..., None], buf, out=buf))
+
     two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0
-                   for dc, amp, _ in _spectra(thermal, second_kick, 2))
+                   for dc, amp, _ in _spectra(thermal, second_kick(), 2))
     return np.concatenate([np.zeros(lo_b), two - only_1 - second])

@@ -1,9 +1,13 @@
-"""The amplitude kernel of impulsive scans against the density-matrix path.
+"""The amplitude kernel of impulsive scans against run_pulse_sequence.
 
 The reference composition is the two-pulse trace minus both single-pulse
-traces, each run through ``run_pulse_sequence`` on density matrices.
+traces, each run through ``run_pulse_sequence``: all-impulsive runs on
+density matrices, runs with a gaussian pulse on the thermal columns.  The
+grouped kernel must also keep the bits of a loop over single (m, J-parity)
+halves, and its groups must view the basis's eigensystems, not copy them.
 """
 
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -176,3 +180,50 @@ def test_grouped_kernel_keeps_the_bits_of_the_per_half_loop(
                 times = times[np.abs(times - 2.0 * dtau) <= 0.03 * revival_period(mol)]
             grouped = _impulsive_values(cfg, basis, cache, times)
             assert np.array_equal(grouped, _per_half_values(cfg, basis, times))
+
+
+def _owned_bytes(obj) -> int:
+    """Bytes of the arrays in a nest of lists and tuples that own their data."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.flags.owndata else 0
+    return sum(map(_owned_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
+
+
+# At j_max = 120 and 296 K the thermal groups own their bands, level
+# frequencies and w = sqrt(p), 0.28 MiB with the element indices; one more
+# stacked copy of V or of V^T W would add 2.28 MiB.  The bound sits between.
+THERMAL_OWNED_MIB = 1.0
+
+
+def test_kernel_groups_view_the_basis_eigensystems(ocs):
+    basis = RotorBasis(120)
+    cfg = two_pulse_config(ocs, 1.0, 4.0, 0.125 * revival_period(ocs), j_max=120)
+    cache: dict = {}
+    _impulsive_values(cfg, basis, cache, _sample_times(cfg)[-64:])
+    groups = cache["thermal"][0]
+    assert len(groups) == 61
+    stacks = {id(v): (lam, v) for _, lam, v, _ in basis._parity_halves()}.values()
+    for *_, lam, v in groups:
+        assert sum(np.shares_memory(lam, s) and np.shares_memory(v, t) for s, t in stacks) == 1
+        assert not lam.flags.owndata and not v.flags.owndata
+    assert _owned_bytes(cache["thermal"]) < THERMAL_OWNED_MIB * 2**20
+
+
+@pytest.mark.parametrize(
+    "molecule, j_max",
+    [(MoleculeSpec(b_cm=0.2034, weight_odd=0.0), 120),
+     (MoleculeSpec(b_cm=0.2034, temperature_k=5.0), 119)],
+    ids=["weight_odd_0", "5K"],
+)
+def test_runs_cut_by_populated_count_keep_the_bits_of_the_per_half_loop(molecule, j_max):
+    # a run of the basis's equal-size halves holds halves of different
+    # populated counts c, so some group is shorter than its run: without odd
+    # J, or at 5 K, where p is 0 above J = 112, so that at j_max = 119 an
+    # even-J and an odd-J half of one size lose 3 and 4 levels
+    basis = RotorBasis(j_max)
+    cfg = two_pulse_config(molecule, 1.0, 4.0, 0.125 * revival_period(molecule), j_max=j_max)
+    times, cache = _sample_times(cfg), {}
+    assert np.array_equal(_impulsive_values(cfg, basis, cache, times),
+                          _per_half_values(cfg, basis, times))
+    run_length = Counter(v.shape[1] for _, _, v, _ in basis._parity_halves())
+    assert any(v.shape[0] < run_length[v.shape[1]] for *_, v in cache["thermal"][0])

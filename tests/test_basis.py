@@ -140,6 +140,24 @@ def test_cos2_blocks_equal_the_scalar_elements_exactly(j_max):
         assert block.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("j_max", [2, 3, 40, 120])
+def test_stacked_parity_eigensystems_keep_the_bits_of_per_half_eigh(j_max):
+    # one batched eigh per run of equal-size halves must give every half,
+    # the empty one at m = j_max included, the bits of its own eigh, as a
+    # read-only view of its run's stack
+    basis = RotorBasis(j_max)
+    stacks = {id(v): v for _, _, v, _ in basis._parity_halves()}.values()
+    assert len(stacks) == j_max // 2 + 2  # one per half size, 0 .. j_max // 2 + 1
+    for m in range(j_max + 1):
+        for h, (lam, v) in enumerate(basis._parity_eigensystems(m)):
+            ref_lam, ref_v = np.linalg.eigh(basis.cos2_block(m)[h::2, h::2])
+            assert np.array_equal(lam, ref_lam) and np.array_equal(v, ref_v)
+            assert lam.shape == ref_lam.shape and v.shape == ref_v.shape
+            assert not v.flags.owndata and not v.flags.writeable and not lam.flags.writeable
+            assert sum(v.base is s for s in stacks) == 1
+    assert basis._parity_eigensystems(j_max)[1][1].shape == (0, 0)
+
+
 def test_cos2_eigensystem_reconstructs_block():
     basis = RotorBasis(12)
     w, v = basis.cos2_eigensystem(3)
