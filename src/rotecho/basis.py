@@ -286,7 +286,7 @@ def _thermal_populations(molecule: MoleculeSpec, j_max: int, truncation_tol: flo
 def thermal_state(
     molecule: MoleculeSpec,
     basis: RotorBasis,
-    truncation_tol: float = 1e-8,
+    truncation_tol: float,
 ) -> MBlockDensityMatrix:
     """Boltzmann-populated diagonal state over the truncated basis.
 
@@ -311,7 +311,7 @@ def thermal_state(
 def choose_jmax(
     molecule: MoleculeSpec,
     max_kick: float,
-    tolerance: float = 1e-8,
+    tolerance: float,
 ) -> int:
     """Smallest basis size that holds the thermal band plus kick headroom.
 

@@ -162,6 +162,18 @@ def _finish(args, timings, digest, molecule, parameters, writers, notes=None) ->
     return out
 
 
+def _parameters(settings, j_max, dtau=None, **resolved) -> dict:
+    """A run's manifest parameters: every config key as read, then what the
+    run resolved: its j_max, its one delay (a scan over delays has none),
+    the pulse mesh of a gaussian run, and the verb's own values."""
+    params = {**settings.values, "j_max": j_max}
+    if dtau is not None:
+        params["dtau_ps"] = dtau
+    if settings.shape == "gaussian":
+        params["substeps"] = settings.solver.substeps
+    return {**params, **resolved}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     settings, digest, cfg = _load(args)
@@ -169,49 +181,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = run_two_pulse(cfg)
     timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
-    params = {
-        "p1_kick": settings.p1_kick,
-        "p2_kick": settings.p2_kick,
-        "dtau_ps": settings.dtau,
-        "shape": settings.shape,
-        "duration_fwhm_ps": settings.duration_fwhm,
-        "j_max": cfg.resolve_j_max(),
-        "dt_sample_ps": cfg.dt_sample,
-        "t_end_ps": cfg.t_end,
-        **({"substeps": cfg.solver.substeps} if settings.shape == "gaussian" else {}),
-    }
+    params = _parameters(settings, cfg.resolve_j_max(), settings.dtau,
+                         dt_sample_ps=cfg.dt_sample, t_end_ps=cfg.t_end)
     out = _finish(args, timings, digest, settings.molecule, params,
                   {"trace.csv": (runio.write_trace_csv, trace)})
     print(f"wrote {out / 'trace.csv'} ({trace.times.size} samples)")
     return 0
-
-
-def _scan_parameters(settings, resolved_jmax: int) -> dict:
-    scan = settings.scan
-    params = {
-        "axis": scan.axis,
-        "start": scan.start,
-        "stop": scan.stop,
-        "count": scan.count,
-        "units": scan.units,
-        "averaged": scan.averaged,
-        "p1_kick": settings.p1_kick,
-        "j_max": resolved_jmax,
-    }
-    if scan.window_halfwidth is not None:
-        params["window_halfwidth_ps"] = scan.window_halfwidth
-    if settings.shape == "gaussian":
-        params["substeps"] = settings.solver.substeps
-    if scan.axis == "p2":
-        params["dtau_ps"] = settings.dtau
-    else:
-        params["p2_kick"] = settings.p2_kick
-        params["exclude_quarters"] = scan.exclude_quarters
-    if scan.averaged and settings.beam is not None:
-        params["pump_waist_um"] = settings.beam.pump_waist
-        params["probe_waist_um"] = settings.beam.probe_waist
-        params["n_shells"] = settings.beam.n_shells
-    return params
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -247,7 +222,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for val, msg in curve.failures
     ]
     n_failed = sum(math.isfinite(val) for val, _ in curve.failures)
-    params = _scan_parameters(settings, base.resolve_j_max())
+    params = _parameters(settings, base.resolve_j_max(),
+                         settings.dtau if scan.axis == "p2" else None)
     out = _finish(args, timings, digest, settings.molecule, params, writers, notes)
     line = f"wrote {out / csv_name}: {len(curve)} points"
     if n_failed:
@@ -279,9 +255,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         rows.append((dtau, p2_opt, s_max))
     timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
-    params = _scan_parameters(settings, max(bases))
-    params["p2_max"] = search.p2_max
-    out = _finish(args, timings, digest, settings.molecule, params,
+    out = _finish(args, timings, digest, settings.molecule, _parameters(settings, max(bases)),
                   {"optimal_p2.csv": (runio.write_opt_csv, rows)})
     print(f"wrote {out / 'optimal_p2.csv'}: {len(rows)} rows")
     return 0
@@ -314,13 +288,8 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
     paths = enumerate_pathways(start, (target[0], target[1]), j_max=settings.j_max)
     timings = {"run": time.perf_counter() - t0}
 
-    params = {
-        "start": args.start,
-        "target": args.target,
-        "dtau_ps": dtau,
-        "n_pathways": len(paths),
-        "j_max": settings.j_max,
-    }
+    params = _parameters(settings, settings.j_max, dtau, start=args.start,
+                         target=args.target, n_pathways=len(paths))
     table = pathway_table(paths, dtau, molecule, fmt="csv")
     _finish(args, timings, digest, molecule, params,
             {"pathways.csv": (runio.write_pathways_csv, table)})

@@ -13,7 +13,7 @@ period, whichever reads better.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .basis import MoleculeSpec, revival_period
@@ -172,6 +172,8 @@ class RunSettings:
     solver: SolverOptions
     scan: ScanSettings | None
     beam: BeamGeometry | None
+    # each key of the file's sections, typed, defaults in, unset optionals out
+    values: dict = field(hash=False)
 
     def experiment(self) -> ExperimentConfig:
         """Two-pulse configuration for these settings."""
@@ -227,6 +229,8 @@ def load_config(path: str) -> RunSettings:
     sections = {
         name: _read(parser[name], name, keys) for name, keys in _KEYS.items() if name in parser
     }
+    # key names are unique across sections, so one flat mapping holds them all
+    flat = {k: v for keys in sections.values() for k, v in keys.items() if v is not None}
 
     if "molecule" not in sections:
         raise ConfigError(f"{path}: missing [molecule] section")
@@ -303,4 +307,5 @@ def load_config(path: str) -> RunSettings:
         solver=solver_opts,
         scan=scan,
         beam=beam,
+        values=flat,
     )

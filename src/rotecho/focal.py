@@ -20,8 +20,9 @@ fraction scales both kicks.  Scans run shell by shell.
 Only the transverse profile is modeled.  The crossed-beam geometry
 keeps the interaction length short enough that longitudinal variation
 is a smaller effect than the radial one, and no measured waists exist
-for this setup anyway: the default geometry is a placeholder for
-qualitative studies and is labeled as nominal in output metadata.
+for this setup anyway: ``BeamGeometry.nominal`` is a library placeholder
+for qualitative studies.  A run's ``[beam]`` section must give both
+waists, and its manifest records the waists it used.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .basis import RotorBasis
 from .echo import EchoCurve, _p2_scan
 from .propagate import ExperimentConfig
 
-# Placeholder waists in micrometres (probe half the pump).  Qualitative
-# studies only; outputs produced with these carry a nominal-geometry note.
+# Placeholder waists in micrometres (probe half the pump) for
+# BeamGeometry.nominal; qualitative studies only, no CLI run uses them.
 DEFAULT_PUMP_WAIST_UM = 30.0
 DEFAULT_PROBE_WAIST_UM = 15.0
 

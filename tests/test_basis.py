@@ -191,21 +191,21 @@ def test_thermal_state_spin_weights():
 def test_thermal_state_truncation_guard(ocs):
     # room-temperature OCS still holds 1e-4 population near J = 30
     with pytest.raises(TruncationError):
-        thermal_state(ocs, RotorBasis(30))
+        thermal_state(ocs, RotorBasis(30), 1e-8)
 
 
 def test_choose_jmax_accommodates_thermal_tail(ocs):
-    jm = choose_jmax(ocs, 1.0)
+    jm = choose_jmax(ocs, 1.0, 1e-8)
     thermal_state(ocs, RotorBasis(jm), truncation_tol=1e-8)  # must not raise
 
 
 def test_choose_jmax_grows_with_kick(ocs):
-    assert choose_jmax(ocs, 8.0) > choose_jmax(ocs, 1.0)
-    assert choose_jmax(ocs, 0.0) >= 10
+    assert choose_jmax(ocs, 8.0, 1e-8) > choose_jmax(ocs, 1.0, 1e-8)
+    assert choose_jmax(ocs, 0.0, 1e-8) >= 10
     # at 0 K the thermal band is the lowest allowed level: margin 4*ceil(kick) + 8
-    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 1.5) == 16
-    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0, weight_even=0.0), 1.5) == 17
-    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 0.0) == 10
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 1.5, 1e-8) == 16
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0, weight_even=0.0), 1.5, 1e-8) == 17
+    assert choose_jmax(MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 0.0, 1e-8) == 10
 
 
 def _scalar_cos2_element(j: int, jp: int, m: int) -> float:
@@ -241,7 +241,7 @@ _COLD = MoleculeSpec(b_cm=0.2034, temperature_k=30.0)
          "one block per m = 0 .. j_max required"),
         (lambda: MBlockDensityMatrix(RotorBasis(2), _COLD, (np.eye(3), np.eye(3), np.eye(1))),
          "block m=1 must have shape (2, 2)"),
-        (lambda: choose_jmax(_COLD, -1.0), "max_kick must be non-negative"),
+        (lambda: choose_jmax(_COLD, -1.0, 1e-8), "max_kick must be non-negative"),
         (lambda: choose_jmax(_COLD, 1.0, tolerance=1.0), "tolerance must be in (0, 1)"),
     ],
 )

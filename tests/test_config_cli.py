@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import configparser
 import hashlib
 import json
 import math
@@ -175,6 +176,9 @@ def test_explicit_molecule_roundtrip(tmp_path):
     assert s.scan.axis == "p2" and s.scan.count == 8
     assert s.scan.p2_max == 12.0
     assert s.beam.n_shells == 3 and s.beam.kappa == pytest.approx(6.25)
+    # every key as read, in one flat mapping that leaves the settings hashable
+    assert s.values["truncation_tol"] == 5e-3 and "preset" not in s.values
+    assert hash(s) == hash(load_config(cfg))
 
 
 def test_preset_with_overrides(tmp_path):
@@ -605,8 +609,8 @@ def test_gaussian_manifests_record_the_pulse_mesh(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
     assert RunManifest.load(tmp_path / "out" / "manifest.json").parameters["substeps"] == 16
     scan = load_config(write_cfg(tmp_path, COLD_SCAN_P2.replace("[pulses]", gaussian)))
-    assert cli._scan_parameters(scan, 24)["substeps"] == 8
-    assert "substeps" not in cli._scan_parameters(load_config(write_cfg(tmp_path, COLD_SCAN_P2)), 24)
+    assert cli._parameters(scan, 24)["substeps"] == 8
+    assert "substeps" not in cli._parameters(load_config(write_cfg(tmp_path, COLD_SCAN_P2)), 24)
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -893,6 +897,66 @@ def test_manifest_names_the_data_files_and_shares_their_command(tmp_path, verb):
         assert f"config_sha256: {manifest.config_sha256}" in lines
     setup = {"setup"} if verb in ("simulate", "scan", "opt") else set()
     assert set(manifest.timings_s) == setup | {"run", "write"}
+
+
+COLD_GAUSSIAN_SCAN = """\
+    [molecule]
+    preset = OCS
+    temperature_k = 5.0
+
+    [pulses]
+    p1_kick = 0.4
+    shape = gaussian
+    duration_fwhm_ps = 0.2
+    dtau_frac = 0.125
+
+    [solver]
+    truncation_tol = 0.05
+
+    [scan]
+    axis = p2
+    start = 0.25
+    stop = 1.5
+    count = 6
+    """
+
+
+@pytest.mark.parametrize(
+    "verb, body, resolved",
+    [
+        ("simulate", COLD_SIM, {"dtau_ps"}),
+        ("simulate", COLD_SIM.replace("[pulses]", "[pulses]\n    shape = gaussian")
+         .replace("jmax = 24", "jmax = 24\n    substeps = 16"), {"dtau_ps", "substeps"}),
+        ("scan", COLD_GAUSSIAN_SCAN, {"dtau_ps", "substeps"}),
+        ("scan", COLD_SCAN_AVERAGED, {"dtau_ps"}),
+        ("opt", COLD_OPT, set()),
+        ("pathways", COLD_SIM, {"dtau_ps"}),
+    ],
+    ids=["simulate", "simulate-gaussian", "scan-gaussian-5K", "scan-averaged", "opt", "pathways"],
+)
+def test_manifest_records_every_config_key(tmp_path, verb, body, resolved):
+    # parameters hold each key the config sets, typed as the table reads
+    # it, beside the j_max the run used and, where they apply, its one
+    # delay and its pulse mesh; an impulsive run has no mesh and a delay
+    # scan no one delay
+    cfg = write_cfg(tmp_path, body)
+    argv = [verb, "--config", cfg, "--out-dir", str(tmp_path / "out")]
+    if verb == "pathways":
+        argv += ["--start", "4", "--target", "6,4"]
+    assert cli.main(argv) == 0
+    params = RunManifest.load(tmp_path / "out" / "manifest.json").parameters
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cfg, encoding="utf-8")
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            assert params[key] == _KEYS[section][key][0](raw), (section, key)
+    assert "j_max" in params
+    assert {"dtau_ps", "substeps"} & set(params) == resolved
+
+
+def test_config_key_names_are_unique_across_sections():
+    names = [key for keys in _KEYS.values() for key in keys]
+    assert len(names) == len(set(names))
 
 
 # ---------------------------------------------------------------- exit codes
