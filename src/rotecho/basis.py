@@ -188,9 +188,13 @@ class RotorBasis:
         first use with one batched eigh per run and kept read-only."""
         if not self._eig_halves:
             halves = itertools.product(range(self.j_max + 1), (0, 1))
-            for _, run in itertools.groupby(halves, key=lambda mh: (self.j_max - sum(mh)) // 2):
-                run = tuple(run)  # one run's dense blocks alive at a time
-                lam, v = np.linalg.eigh(np.array([self.cos2_block(m)[h::2, h::2] for m, h in run]))
+            for s, run in itertools.groupby(halves, key=lambda mh: (self.j_max - sum(mh)) // 2 + 1):
+                run = tuple(run)  # one run's halves alive at a time
+                flat = np.zeros((len(run), s * s))  # each s x s half from its bands
+                for row, (m, h) in zip(flat, run):
+                    diag, off = (band[h::2] for band in self._cos2_bands(m))
+                    row[:: s + 1], row[1 :: s + 1], row[s :: s + 1] = diag, off, off
+                lam, v = np.linalg.eigh(flat.reshape(len(run), s, s))
                 lam.setflags(write=False)
                 v.setflags(write=False)
                 self._eig_halves += [(mh, lam, v, i) for i, mh in enumerate(run)]

@@ -437,8 +437,8 @@ def _run_scan(
     and failures come back in task order, a failure with its axis value
     and its first failing node's message.  Each window is placed once, before
     any node runs: a point whose window cannot fit runs no node.  The basis
-    is built once, here, only if a node runs; pool workers inherit it.
-    """
+    is built once, here, only if a node runs; pool workers inherit its
+    eigensystems."""
     # Plain scans stay on the density-matrix reference path, whose exact
     # call counts bench/test_bench.py pins; averaged scans take the kernel.
     kernel = nodes is not _PLAIN_NODES
@@ -462,7 +462,8 @@ def _run_scan(
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            _openblas_threads()  # looked up before the workers fork
+            _openblas_threads()  # looked up, and the eigensystems built,
+            basis._parity_halves()  # before the workers fork
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(basis, workers)
             ) as pool:

@@ -341,29 +341,28 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
 
 
 def _pulse_groups(basis: RotorBasis, halves: list) -> list:
-    """Stack (m, h, Z) halves in (m, h) order, Z a half's J-basis columns,
-    as (g * cos^2 diagonal, g * Delta-J = 2 band, g, eigenvalues, V, J of
-    each row, Z, (m, h, rows, columns) per half) groups, each array with a
-    leading half axis; the first three are the layout _spectra reads.
-    Halves with n and n + 1 rows share a group (21 at j_max = 80, not 41):
-    the smaller gets an inert level, V's identity with eigenvalue, bands,
-    amplitudes and (as J = 0) frequency 0, so its row stays exactly 0, as
-    do the zero columns that pad a narrower Z."""
+    """Stack (m, h, d) halves in (m, h) order, d a half's diagonal with its
+    c nonzero entries leading, as (g * cos^2 diagonal, g * Delta-J = 2 band,
+    g, eigenvalues, V, J of each row, Z = diag(d)[:, :c], (m, h, rows, c) per
+    half) groups, each array with a leading half axis; the first three are
+    the layout _spectra reads.  Halves with n and n + 1 rows share a group
+    (21 at j_max = 80, not 41): the smaller gets an inert level, V's identity
+    with eigenvalue, bands, amplitudes and (as J = 0) frequency 0, so its
+    row stays exactly 0, as do the zero columns that pad a narrower Z."""
     groups = []
-    for _, run in itertools.groupby(halves, key=lambda half: half[2].shape[0] // 2):
-        members = list(run)
+    for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
+        members = [(m, h, d.size, np.count_nonzero(d), d) for m, h, d in run]
         k = len(members)
-        rows, cols = (max(z.shape[i] for *_, z in members) for i in (0, 1))
+        rows, cols = (max(member[i] for member in members) for i in (2, 3))
         g = np.array([MBlockDensityMatrix.degeneracy(m) for m, *_ in members])
         (gd, lam), js = np.zeros((2, k, rows)), np.zeros((k, rows), dtype=int)
         go, v = np.zeros((k, rows - 1)), np.tile(np.eye(rows), (k, 1, 1))
         zs = np.zeros((k, rows, cols), dtype=complex)
-        for i, (m, h, z) in enumerate(members):
-            n, (diag, off) = z.shape[0], basis._cos2_bands(m)
-            gd[i, :n], go[i, : n - 1] = g[i] * diag[h::2], g[i] * off[h::2]
+        for i, (m, h, n, c, d) in enumerate(members):
+            gd[i, :n], go[i, : n - 1] = (g[i] * band[h::2] for band in basis._cos2_bands(m))
             lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
-            js[i, :n], zs[i, :n, : z.shape[1]] = np.arange(m + h, basis.j_max + 1, 2), z
-        groups.append((gd, go, g, lam, v, js, zs, [(m, h, *z.shape) for m, h, z in members]))
+            js[i, :n], zs[i, range(c), range(c)] = np.arange(m + h, basis.j_max + 1, 2), d[:c]
+        groups.append((gd, go, g, lam, v, js, zs, [member[:4] for member in members]))
     return groups
 
 
@@ -380,7 +379,8 @@ def _step_pulse(groups: list, omegas, pulse: PulseSpec, solver: SolverOptions, s
     levels = np.exp(-1j * np.multiply.outer(taus, omegas))
     values = np.zeros(sum(is_sample for *_, is_sample in segments))
     for gd, go, _, lam, v, js, z, _ in groups:  # one group's tables alive at a time
-        kicks = iter(np.exp(1j * np.multiply.outer(alphas, lam))[..., None])
+        kicks = np.multiply.outer(1j * alphas, lam)
+        kicks = iter(np.exp(kicks, out=kicks)[..., None])
         flights = iter(levels[:, js, None])
         vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
         yf, samples = y.view(np.float64), iter(range(values.size))
@@ -407,7 +407,7 @@ def _apply_gaussian_pulse(
     _step_pulse carries the identity columns of each (m, J-parity) half,
     which makes them that half's propagator U across the window; each m
     block is then sandwiched as U rho U^dagger, as impulsive_kick does."""
-    halves = [(m, h, np.eye(n)) for m, block in enumerate(rho.blocks)
+    halves = [(m, h, np.ones(n)) for m, block in enumerate(rho.blocks)
               for h in (0, 1) if (n := block[h::2].shape[0])]
     groups = _pulse_groups(rho.basis, halves)
     _step_pulse(groups, rho.basis.omegas(rho.molecule), pulse, solver, ())
@@ -462,7 +462,7 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
     After each pulse _spectra reads the spectrum and the weighted norm."""
     p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
     roots = ((m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1)))
-    halves = [(m, h, np.diag(w)[:, w > 0]) for m, h, w in roots if np.any(w)]
+    halves = [(m, h, w) for m, h, w in roots if np.any(w)]
     groups, omegas = _pulse_groups(basis, halves), basis.omegas(config.molecule)
     # clamped: a padded half's last coherence is exactly 0 and may point past j_max - 2
     targets = np.concatenate([m + h + np.arange(0, 2 * go.shape[1], 2)

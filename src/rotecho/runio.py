@@ -11,7 +11,6 @@ output excluded from the byte-determinism contract.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +20,14 @@ from . import __version__
 from .echo import DecayFit, EchoCurve, Sin2Fit
 from .errors import ConfigError
 from .propagate import AlignmentTrace
+
+try:  # CPython's own sha256: hashlib maps OpenSSL's libcrypto, 3.6 MB resident
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 TRACE_COLUMNS = ("time_ps", "alignment")
 CURVE_COLUMNS = (
@@ -44,7 +51,7 @@ def fmt(value: float) -> str:
 def config_digest(path: str) -> str:
     """sha256 of the config file bytes, hex encoded."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        return sha256(handle.read()).hexdigest()
 
 
 def provenance_lines(meta: dict) -> list[str]:

@@ -4,6 +4,7 @@ import argparse
 import ast
 import configparser
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1112,6 +1113,8 @@ def test_simulate_and_opt_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: no verb loads any scipy module,
     # a sin2 fit and the decay fit included; a child interpreter starts
     # with no module loaded.  The averaged scan's fit fails on its lobe count.
+    # Nor does a verb, a pooled scan included, load _hashlib, which maps
+    # OpenSSL's libcrypto: the config digest takes CPython's own sha256.
     sim = write_cfg(tmp_path, COLD_SIM, name="sim.cfg")
     opt = write_cfg(tmp_path, COLD_OPT, name="opt.cfg")
     p2 = write_cfg(tmp_path, COLD_SCAN_P2, name="p2.cfg")
@@ -1124,20 +1127,36 @@ def test_simulate_and_opt_load_no_scipy(tmp_path):
         ["simulate", "--config", sim], ["opt", "--config", opt], ["scan", "--config", p2],
         ["scan", "--config", avg], ["fit-decay", "--input", str(write_decay_table(tmp_path))],
         ["pathways", "--config", sim, "--start", "4", "--target", "6,4"],
+        ["scan", "--config", avg, "--threads", "2"],
     ]
     script = "import json, sys\nfrom rotecho import cli\n" + "".join(
         f"assert cli.main({argv + ['--out-dir', str(tmp_path / str(i))]!r}) == 0\n"
         for i, argv in enumerate(calls)
-    ) + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    ) + ("print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),"
+         " '_hashlib' in sys.modules]))\n")
     got = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
-    assert json.loads(got.stdout.splitlines()[-1]) == []
+    scipy_modules, hashlib_loaded = json.loads(got.stdout.splitlines()[-1])
+    assert scipy_modules == []
     written = ["trace.csv", "optimal_p2.csv", "fit_sin2.json", "scan_p2.csv", "decay_fit.json",
-               "pathways.csv"]
+               "pathways.csv", "scan_p2.csv"]
     assert all((tmp_path / str(i) / name).exists() for i, name in enumerate(written))
     (note,) = RunManifest.load(tmp_path / "3" / "manifest.json").notes
     assert note.startswith("sin2 fit: first lobe has")
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in sha256 module")
+    assert not hashlib_loaded
+
+
+@pytest.mark.parametrize("size", [0, 55, 56, 64, 65, 1000])
+def test_config_digest_is_the_sha256_of_the_file_bytes(tmp_path, size):
+    # sha256 pads 55 bytes into one 64-byte block and 56 into two; 64 and 65
+    # bytes end on and just past a block edge; 1000 bytes span 16 blocks
+    data = (bytes(range(256)) * 4)[:size]
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    assert runio.config_digest(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 def test_the_package_imports_no_scipy():

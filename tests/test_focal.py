@@ -249,6 +249,24 @@ def test_serial_averaged_scan_builds_each_shell_first_pulse_once(monkeypatch):
     assert states.count(2) == 3 * 4
 
 
+def test_pool_workers_inherit_the_basis_eigensystems(monkeypatch):
+    # the parent builds the eigensystems before its workers fork, so no
+    # worker runs an eigh of its own (forked workers inherit the patch, and
+    # one that calls it fails its task); pooled and serial runs read the
+    # same stacks
+    parent, eigh = os.getpid(), np.linalg.eigh
+
+    def parent_only(a):
+        assert os.getpid() == parent, "a pool worker ran its own eigh"
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", parent_only)
+    grid, geom = [0.4, 0.8, 1.2], BeamGeometry(30.0, 15.0, n_shells=2)
+    base = two_pulse_config(COLD, 0.3, 1.2, DTAU, j_max=24)
+    pooled = averaged_scan_p2(grid, 0.3, DTAU, geom, base, workers=2)
+    assert pooled == averaged_scan_p2(grid, 0.3, DTAU, geom, base, workers=1)
+
+
 _POOLED_VS_SERIAL = """
 import os
 from rotecho import (

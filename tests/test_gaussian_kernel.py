@@ -6,10 +6,14 @@ sixth-order composition, 9 stages per step): one full-block Q per
 distinct free flight, a sandwich after each kick.  A closed-form
 first-order oracle checks the pulse against the impulsive kick instead,
 and an adaptive ODE integration of the Schrodinger equation checks a
-full-strength pulse with no split at all.
+full-strength pulse with no split at all.  The last tests hold the
+kernel's column layout, built from each half's diagonal, and the traced
+memory peak of one gaussian run.
 """
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -28,14 +32,19 @@ from rotecho import (
     cos2theta_element,
     free_evolve,
     impulsive_kick,
+    revival_period,
     rotational_energy,
     run_pulse_sequence,
+    run_two_pulse,
     thermal_state,
+    two_pulse_config,
 )
+from rotecho.basis import _thermal_populations
 from rotecho.propagate import (
     WINDOW_SIGMAS,
     _coherence_spectrum,
     _piecewise,
+    _pulse_groups,
     _pulse_segments,
     _pulse_window,
     _sample_times,
@@ -242,3 +251,65 @@ def test_full_strength_gaussian_pulse_matches_an_ode_integration(temperature, ki
         blocks = apply_pulse(rho, pulse, SolverOptions(substeps=substeps)).blocks
         for m, want in exact.items():
             assert np.max(np.abs(blocks[m] - want)) <= bound * np.max(np.abs(want)), (substeps, m)
+
+
+@pytest.mark.parametrize(
+    "molecule, j_max, trailing",
+    [(MoleculeSpec(b_cm=0.2034), 80, False),
+     (MoleculeSpec(b_cm=0.2034, temperature_k=5.0), 119, True),
+     (MoleculeSpec(b_cm=0.2034, weight_odd=0.0), 80, False),
+     (MoleculeSpec(b_cm=0.2034, temperature_k=0.0), 40, True),
+     (None, 40, False)],
+    ids=["296K", "5K", "weight_odd_0", "0K", "identity"],
+)
+def test_pulse_groups_lay_diagonals_out_as_padded_columns(molecule, j_max, trailing):
+    # the halves as the column route (thermal sqrt p of each populated half)
+    # and apply_pulse (ones) hand them over; each group's Z must be its
+    # halves' diag(d)[:, :c] padded to the group's rows and widest c.  At
+    # 5 K p is 0 above J = 112, so at j_max = 119 some half has c < n; at
+    # 0 K every populated half has c = 1
+    basis = RotorBasis(j_max)
+    halves = itertools.product(range(j_max + 1), (0, 1))
+    if molecule is None:
+        halves = [(m, h, np.ones(n)) for m, h in halves if (n := (j_max - m - h) // 2 + 1)]
+    else:
+        p = np.sqrt(_thermal_populations(molecule, j_max, 1e-2))
+        halves = [(m, h, p[m + h :: 2]) for m, h in halves if np.any(p[m + h :: 2])]
+    expected = []
+    for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
+        run = [(m, h, np.diag(d)[:, : np.count_nonzero(d)]) for m, h, d in run]
+        rows, cols = (max(z.shape[i] for *_, z in run) for i in (0, 1))
+        zs = np.zeros((len(run), rows, cols), dtype=complex)
+        for padded, (*_, z) in zip(zs, run):
+            padded[: z.shape[0], : z.shape[1]] = z
+        expected.append((zs, [(m, h, *z.shape) for m, h, z in run]))
+    groups = _pulse_groups(basis, halves)
+    assert len(groups) == len(expected)
+    for (*_, zs, members), (want_zs, want_members) in zip(groups, expected):
+        assert zs.shape == want_zs.shape and zs.tobytes() == want_zs.tobytes()
+        assert members == want_members
+    assert any(c < n for *_, members in groups for *_, n, c in members) == trailing
+
+
+# One gaussian two-pulse run at j_max = 80, 296 K, on a basis whose
+# eigensystems are built, peaks at 4.26 MiB of traced allocations: the
+# groups' columns and V copies, one group's kick table and the trace.
+# Handing _pulse_groups dense diag(sqrt p) or identity columns and building
+# each kick table beside a float temporary took it to 5.12 MiB.  The
+# bound sits between.
+GAUSSIAN_RUN_PEAK_MIB = 4.7
+
+
+def test_one_gaussian_run_stays_under_its_traced_peak(ocs):
+    basis = RotorBasis(80)
+    basis._parity_halves()
+    cfg = two_pulse_config(ocs, 1.0, 4.0, 0.125 * revival_period(ocs), shape="gaussian", j_max=80)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_two_pulse(cfg, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < GAUSSIAN_RUN_PEAK_MIB * 2**20, peak / 2**20
