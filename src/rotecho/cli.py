@@ -169,7 +169,7 @@ def _parameters(settings, j_max, dtau=None, **resolved) -> dict:
     params = {**settings.values, "j_max": j_max}
     if dtau is not None:
         params["dtau_ps"] = dtau
-    if settings.shape == "gaussian":
+    if settings.values["shape"] == "gaussian":
         params["substeps"] = settings.solver.substeps
     return {**params, **resolved}
 
@@ -193,27 +193,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     settings, digest, base = _load(args)
     grid = np.asarray(settings.scan_grid())
-    scan = settings.scan
+    values = settings.values
+    axis, averaged = values["axis"], values["averaged"]
     # pin the grid-wide j_max the scan runs at, so the manifest reports it
-    p1, p2, dtau = settings.p1_kick, settings.p2_kick, settings.dtau
-    points = [(p1, p2, v) if scan.axis == "dtau" else (p1, v, dtau) for v in grid]
+    p1, p2, dtau = values["p1_kick"], values["p2_kick"], settings.dtau
+    points = [(p1, p2, v) if axis == "dtau" else (p1, v, dtau) for v in grid]
     base = replace(base, j_max=_scan_jmax(base, points))
     t1 = time.perf_counter()
 
-    options = {"window_halfwidth": scan.window_halfwidth, "workers": args.threads}
-    if scan.axis == "dtau":
-        curve = scan_dtau(grid, settings.p1_kick, settings.p2_kick, base, **options)
-    elif scan.averaged:
-        curve = averaged_scan_p2(
-            grid, settings.p1_kick, settings.dtau, settings.beam, base, **options
-        )
+    options = {"window_halfwidth": values.get("window_halfwidth_ps"), "workers": args.threads}
+    if axis == "dtau":
+        curve = scan_dtau(grid, p1, p2, base, **options)
+    elif averaged:
+        curve = averaged_scan_p2(grid, p1, dtau, settings.beam, base, **options)
     else:
-        curve = scan_p2(grid, settings.p1_kick, settings.dtau, base, **options)
+        curve = scan_p2(grid, p1, dtau, base, **options)
     timings = {"setup": t1 - t0, "run": time.perf_counter() - t1}
 
     fit = curve.fit
-    csv_name = f"scan_{scan.axis}.csv"
-    writers = {csv_name: (partial(runio.write_curve_csv, averaged=scan.averaged), curve)}
+    csv_name = f"scan_{axis}.csv"
+    writers = {csv_name: (partial(runio.write_curve_csv, averaged=averaged), curve)}
     if fit is not None:
         writers["fit_sin2.json"] = (runio.write_fit_json, fit)
     # a failed sin2 fit is keyed by nan; every other failure is a point
@@ -222,8 +221,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for val, msg in curve.failures
     ]
     n_failed = sum(math.isfinite(val) for val, _ in curve.failures)
-    params = _parameters(settings, base.resolve_j_max(),
-                         settings.dtau if scan.axis == "p2" else None)
+    params = _parameters(settings, base.resolve_j_max(), dtau if axis == "p2" else None)
     out = _finish(args, timings, digest, settings.molecule, params, writers, notes)
     line = f"wrote {out / csv_name}: {len(curve)} points"
     if n_failed:
@@ -238,18 +236,18 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     settings, digest, base = _load(args)
     grid = settings.scan_grid()
-    scan = settings.scan
-    if scan.axis != "dtau":
+    values = settings.values
+    if values["axis"] != "dtau":
         raise ConfigError("the opt command sweeps separation; set [scan] axis = dtau")
-    search = SearchParams(p2_max=scan.p2_max)
+    search = SearchParams(p2_max=values["p2_max"])
     t1 = time.perf_counter()
 
     rows = []
     bases: dict = {}  # every basis the searches build, by j_max, shared across delays
     for dtau in grid:
         p2_opt, s_max = find_optimal_p2(
-            dtau, settings.p1_kick, base, search,
-            window_halfwidth=scan.window_halfwidth,
+            dtau, values["p1_kick"], base, search,
+            window_halfwidth=values.get("window_halfwidth_ps"),
             _bases=bases,
         )
         rows.append((dtau, p2_opt, s_max))
@@ -277,7 +275,7 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
     # the molecule, delay and J cutoff only: no experiment is built or checked
     settings = config.load_config(args.config)
     digest = runio.config_digest(args.config)
-    molecule, dtau = settings.molecule, settings.dtau
+    molecule, dtau, j_max = settings.molecule, settings.dtau, settings.values.get("jmax")
 
     start_levels = _parse_levels(args.start, "--start")
     target = _parse_levels(args.target, "--target")
@@ -285,10 +283,10 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
         raise ConfigError(f"--target needs exactly two J values, got {args.target!r}")
     start = start_levels[0] if len(start_levels) == 1 else tuple(start_levels)
 
-    paths = enumerate_pathways(start, (target[0], target[1]), j_max=settings.j_max)
+    paths = enumerate_pathways(start, (target[0], target[1]), j_max=j_max)
     timings = {"run": time.perf_counter() - t0}
 
-    params = _parameters(settings, settings.j_max, dtau, start=args.start,
+    params = _parameters(settings, j_max, dtau, start=args.start,
                          target=args.target, n_pathways=len(paths))
     table = pathway_table(paths, dtau, molecule, fmt="csv")
     _finish(args, timings, digest, molecule, params,

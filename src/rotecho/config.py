@@ -3,7 +3,8 @@
 Sections: [molecule] (preset name and/or explicit constants), [pulses]
 (kicks, delay, shape), [solver] (numerical knobs), and optionally
 [scan] and [beam] for the scanning front end.  One table, ``_KEYS``,
-gives every key its type and default.  Unknown sections or keys, in a
+gives every key its type and default, and ``RunSettings.values`` is
+the one copy of each key as read.  Unknown sections or keys, in a
 run config or a packaged preset, are rejected rather than ignored, so
 typos surface as errors with the offending section and key named.
 Delays may be given in picoseconds or as fractions of the revival
@@ -142,73 +143,54 @@ def molecule_preset(preset: str) -> MoleculeSpec:
 
 
 @dataclass(frozen=True)
-class ScanSettings:
-    """What to sweep and how to read each point."""
-
-    axis: str
-    start: float
-    stop: float
-    count: int
-    units: str
-    window_halfwidth: float | None
-    averaged: bool
-    exclude_quarters: bool
-    p2_max: float
-
-
-@dataclass(frozen=True)
 class RunSettings:
-    """Everything a run needs, as parsed from one config file."""
+    """Everything a run needs, as parsed from one config file: what the
+    keys resolve to, and each key as read in ``values``."""
 
     molecule: MoleculeSpec
-    p1_kick: float
-    p2_kick: float
     dtau: float
-    shape: str
-    duration_fwhm: float
-    j_max: int | None
-    dt_sample: float | None
-    t_end: float | None
     solver: SolverOptions
-    scan: ScanSettings | None
+    has_scan: bool  # the file has a [scan] section
     beam: BeamGeometry | None
     # each key of the file's sections, typed, defaults in, unset optionals out
     values: dict = field(hash=False)
 
     def experiment(self) -> ExperimentConfig:
         """Two-pulse configuration for these settings."""
+        values = self.values
         return two_pulse_config(
             self.molecule,
-            self.p1_kick,
-            self.p2_kick,
+            values["p1_kick"],
+            values["p2_kick"],
             self.dtau,
-            shape=self.shape,
-            duration_fwhm=self.duration_fwhm,
-            t_end=self.t_end,
-            dt_sample=self.dt_sample,
-            j_max=self.j_max,
+            shape=values["shape"],
+            duration_fwhm=values["duration_fwhm_ps"],
+            t_end=values.get("t_end_ps"),
+            dt_sample=values.get("dt_sample_ps"),
+            j_max=values.get("jmax"),
             solver=self.solver,
         )
 
     def scan_grid(self) -> list[float]:
         """The scan grid in engine units (ps for delays, kick for p2)."""
-        scan = self.scan
-        if scan is None:
+        if not self.has_scan:
             raise ConfigError("this command needs a [scan] section")
-        if scan.count < 2 and scan.start != scan.stop:
+        values = self.values
+        count = values["count"]
+        if count < 2 and values["start"] != values["stop"]:
             raise _fail("scan", "count", "need at least 2 points to span a range")
-        delays = scan.axis == "dtau"
+        delays = values["axis"] == "dtau"
         # kicks and delays in ps scale by exactly 1.0, which keeps their bits
-        factor = revival_period(self.molecule) if delays and scan.units == "trev" else 1.0
-        lo, hi = scan.start * factor, scan.stop * factor
-        if delays and scan.exclude_quarters:
+        factor = revival_period(self.molecule) if delays and values["units"] == "trev" else 1.0
+        lo, hi = values["start"] * factor, values["stop"] * factor
+        if delays and values["exclude_quarters"]:
             try:
-                grid = dtau_grid(self.molecule, lo, hi, scan.count)
+                grid = dtau_grid(self.molecule, lo, hi, count)
             except ValueError as exc:
                 raise _fail("scan", None, str(exc)) from None
             return [float(v) for v in grid]
-        step = (hi - lo) / max(scan.count - 1, 1)
-        return [lo + i * step for i in range(scan.count)]
+        step = (hi - lo) / max(count - 1, 1)
+        return [lo + i * step for i in range(count)]
 
 
 def load_config(path: str) -> RunSettings:
@@ -230,7 +212,7 @@ def load_config(path: str) -> RunSettings:
         name: _read(parser[name], name, keys) for name, keys in _KEYS.items() if name in parser
     }
     # key names are unique across sections, so one flat mapping holds them all
-    flat = {k: v for keys in sections.values() for k, v in keys.items() if v is not None}
+    values = {k: v for keys in sections.values() for k, v in keys.items() if v is not None}
 
     if "molecule" not in sections:
         raise ConfigError(f"{path}: missing [molecule] section")
@@ -238,47 +220,44 @@ def load_config(path: str) -> RunSettings:
 
     if "pulses" not in sections:
         raise ConfigError(f"{path}: missing [pulses] section")
-    pulses = sections["pulses"]
-    if pulses["p1_kick"] < 0.0 or pulses["p2_kick"] < 0.0:
+    if values["p1_kick"] < 0.0 or values["p2_kick"] < 0.0:
         raise _fail("pulses", None, "kick strengths must be non-negative")
-    if pulses["shape"] not in ("impulsive", "gaussian"):
-        raise _fail("pulses", "shape", f"must be impulsive or gaussian, got {pulses['shape']!r}")
-    dtau_ps, dtau_frac = pulses["dtau_ps"], pulses["dtau_frac"]
+    if values["shape"] not in ("impulsive", "gaussian"):
+        raise _fail("pulses", "shape", f"must be impulsive or gaussian, got {values['shape']!r}")
+    dtau_ps, dtau_frac = values.get("dtau_ps"), values.get("dtau_frac")
     if dtau_ps is not None and dtau_frac is not None:
         raise _fail("pulses", None, "give dtau_ps or dtau_frac, not both")
 
-    solver = sections.get("solver", {})
     try:
-        solver_opts = SolverOptions(
-            **{k: solver[k] for k in ("substeps", "truncation_tol") if solver.get(k) is not None}
+        solver = SolverOptions(
+            **{k: values[k] for k in ("substeps", "truncation_tol") if k in values}
         )
     except ValueError as exc:
         raise _fail("solver", None, str(exc)) from None
 
-    scan = None
-    if "scan" in sections:
-        values = sections["scan"]
+    has_scan = "scan" in sections
+    if has_scan:
         if values["axis"] not in ("dtau", "p2"):
             raise _fail("scan", "axis", f"must be dtau or p2, got {values['axis']!r}")
         if values["axis"] == "dtau" and values["units"] not in ("trev", "ps"):
             raise _fail("scan", "units", f"must be trev or ps, got {values['units']!r}")
         if values["count"] < 1:
             raise _fail("scan", "count", "must be a positive integer")
-        scan = ScanSettings(window_halfwidth=values.pop("window_halfwidth_ps"), **values)
+        if "window_halfwidth_ps" in values and values["window_halfwidth_ps"] <= 0.0:
+            raise _fail("scan", "window_halfwidth_ps", "must be positive")
 
     beam = None
     if "beam" in sections:
-        values = sections["beam"]
         try:
             beam = BeamGeometry(
                 values["pump_waist_um"], values["probe_waist_um"], values["n_shells"]
             )
         except ValueError as exc:
             raise _fail("beam", None, str(exc)) from None
-    if scan is not None and scan.averaged:
+    if has_scan and values["averaged"]:
         if beam is None:
             raise ConfigError("averaged scans need a [beam] section")
-        if scan.axis != "p2":
+        if values["axis"] != "p2":
             raise _fail("scan", "averaged", "averaging is defined for p2 scans")
 
     t_rev = revival_period(molecule)
@@ -286,26 +265,13 @@ def load_config(path: str) -> RunSettings:
         dtau = dtau_ps
     elif dtau_frac is not None:
         dtau = dtau_frac * t_rev
-    elif scan is not None and scan.axis == "dtau":
+    elif has_scan and values["axis"] == "dtau":
         # delay comes from the grid; any valid placeholder works
-        dtau = (scan.start if scan.units == "ps" else scan.start * t_rev) or t_rev / 8.0
+        start = values["start"]
+        dtau = (start if values["units"] == "ps" else start * t_rev) or t_rev / 8.0
     else:
         raise _fail("pulses", None, "need dtau_ps or dtau_frac")
     if dtau <= 0.0:
         raise _fail("pulses", None, "the pulse delay must be positive")
 
-    return RunSettings(
-        molecule=molecule,
-        p1_kick=pulses["p1_kick"],
-        p2_kick=pulses["p2_kick"],
-        dtau=dtau,
-        shape=pulses["shape"],
-        duration_fwhm=pulses["duration_fwhm_ps"],
-        j_max=solver.get("jmax"),
-        dt_sample=solver.get("dt_sample_ps"),
-        t_end=solver.get("t_end_ps"),
-        solver=solver_opts,
-        scan=scan,
-        beam=beam,
-        values=flat,
-    )
+    return RunSettings(molecule, dtau, solver, has_scan, beam, values)

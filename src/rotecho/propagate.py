@@ -343,25 +343,26 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
 def _pulse_groups(basis: RotorBasis, halves: list) -> list:
     """Stack (m, h, d) halves in (m, h) order, d a half's diagonal with its
     c nonzero entries leading, as (g * cos^2 diagonal, g * Delta-J = 2 band,
-    g, eigenvalues, V, J of each row, Z = diag(d)[:, :c], (m, h, rows, c) per
-    half) groups, each array with a leading half axis; the first three are
-    the layout _spectra reads.  Halves with n and n + 1 rows share a group
-    (21 at j_max = 80, not 41): the smaller gets an inert level, V's identity
-    with eigenvalue, bands, amplitudes and (as J = 0) frequency 0, so its
-    row stays exactly 0, as do the zero columns that pad a narrower Z."""
+    g, eigenvalues, V, J of each row as a column, Z = diag(d)[:, :c],
+    (m, h, rows, c) per half) groups, each array with a leading half axis;
+    the first three are the layout _spectra reads.  Halves with n and n + 1
+    rows share a group (21 at j_max = 80, not 41): the smaller gets an inert
+    level, V's identity with eigenvalue, bands, amplitudes and (as J = 0)
+    frequency 0, so its row stays exactly 0, as do the zero columns that
+    pad a narrower Z."""
     groups = []
     for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
         members = [(m, h, d.size, np.count_nonzero(d), d) for m, h, d in run]
         k = len(members)
         rows, cols = (max(member[i] for member in members) for i in (2, 3))
         g = np.array([MBlockDensityMatrix.degeneracy(m) for m, *_ in members])
-        (gd, lam), js = np.zeros((2, k, rows)), np.zeros((k, rows), dtype=int)
+        (gd, lam), js = np.zeros((2, k, rows)), np.zeros((k, rows, 1), dtype=int)
         go, v = np.zeros((k, rows - 1)), np.tile(np.eye(rows), (k, 1, 1))
         zs = np.zeros((k, rows, cols), dtype=complex)
         for i, (m, h, n, c, d) in enumerate(members):
             gd[i, :n], go[i, : n - 1] = (g[i] * band[h::2] for band in basis._cos2_bands(m))
             lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
-            js[i, :n], zs[i, range(c), range(c)] = np.arange(m + h, basis.j_max + 1, 2), d[:c]
+            js[i, :n, 0], zs[i, range(c), range(c)] = np.arange(m + h, basis.j_max + 1, 2), d[:c]
         groups.append((gd, go, g, lam, v, js, zs, [member[:4] for member in members]))
     return groups
 
@@ -381,7 +382,7 @@ def _step_pulse(groups: list, omegas, pulse: PulseSpec, solver: SolverOptions, s
     for gd, go, _, lam, v, js, z, _ in groups:  # one group's tables alive at a time
         kicks = np.multiply.outer(1j * alphas, lam)
         kicks = iter(np.exp(kicks, out=kicks)[..., None])
-        flights = iter(levels[:, js, None])
+        flights = (row[js] for row in levels)
         vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
         yf, samples = y.view(np.float64), iter(range(values.size))
         for stages, _, is_sample in segments:
@@ -472,7 +473,7 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
     for pulse, (w_start, w_end) in zip(config.pulses, windows):
         for *_, lam, v, js, z, _ in groups:
             if w_start > cursor:
-                z *= np.exp(-1j * (w_start - cursor) * omegas)[js, None]
+                z *= np.exp(-1j * (w_start - cursor) * omegas)[js]
             if pulse.shape == "impulsive":
                 y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
                 z[...] = _rotate(v, y)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import configparser
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -23,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rotecho import (
     ConfigError,
     RotorBasis,
+    RunSettings,
     available_presets,
     load_config,
     molecule_preset,
@@ -169,13 +171,13 @@ def test_explicit_molecule_roundtrip(tmp_path):
     assert s.molecule.name == "linear-test"
     assert s.molecule.b_cm == 0.41
     assert s.molecule.weight_even == 2.0
-    assert (s.p1_kick, s.p2_kick) == (1.5, 0.75)
+    assert (s.values["p1_kick"], s.values["p2_kick"]) == (1.5, 0.75)
     assert s.dtau == 12.5
-    assert s.shape == "gaussian" and s.duration_fwhm == 0.2
-    assert (s.j_max, s.dt_sample, s.t_end) == (32, 0.05, 40.0)
+    assert s.values["shape"] == "gaussian" and s.values["duration_fwhm_ps"] == 0.2
+    assert [s.values[k] for k in ("jmax", "dt_sample_ps", "t_end_ps")] == [32, 0.05, 40.0]
     assert s.solver.substeps == 64 and s.solver.truncation_tol == 5e-3
-    assert s.scan.axis == "p2" and s.scan.count == 8
-    assert s.scan.p2_max == 12.0
+    assert s.has_scan and s.values["axis"] == "p2" and s.values["count"] == 8
+    assert s.values["p2_max"] == 12.0
     assert s.beam.n_shells == 3 and s.beam.kappa == pytest.approx(6.25)
     # every key as read, in one flat mapping that leaves the settings hashable
     assert s.values["truncation_tol"] == 5e-3 and "preset" not in s.values
@@ -273,7 +275,7 @@ def test_pulse_section_validation(tmp_path):
 
 def test_boolean_parsing(tmp_path):
     s = load_config(write_cfg(tmp_path, COLD_SCAN_P2 + "exclude_quarters = on\n"))
-    assert s.scan.exclude_quarters is True
+    assert s.values["exclude_quarters"] is True
     with pytest.raises(ConfigError, match="not a boolean"):
         load_config(
             write_cfg(tmp_path, COLD_SCAN_P2 + "exclude_quarters = maybe\n", name="g.cfg")
@@ -311,7 +313,7 @@ def test_booleans_any_case_and_padding_and_nothing_else(tmp_path_factory, word, 
     cased = "".join(c.upper() if up else c for c, up in zip(word, upper))
     value = pads[0] + cased + pads[1]
     loaded = _load_text(path, _with_line("scan", f"exclude_quarters = {value}"))
-    assert loaded.scan.exclude_quarters is _BOOL_WORDS[word]
+    assert loaded.values["exclude_quarters"] is _BOOL_WORDS[word]
     if other.strip().lower() not in _BOOL_WORDS:
         with pytest.raises(ConfigError, match=re.escape("[scan] exclude_quarters:")):
             _load_text(path, _with_line("scan", f"exclude_quarters = {other}"))
@@ -386,11 +388,23 @@ def test_readme_names_exactly_the_cli_options():
 
 def test_full_config_loads_and_takes_percent_literally(tmp_path):
     loaded = _load_text(tmp_path / "full.cfg", FULL_CFG)
-    assert (loaded.j_max, loaded.scan.count, loaded.beam.n_shells) == (24, 6, 2)
+    assert (loaded.values["jmax"], loaded.values["count"], loaded.beam.n_shells) == (24, 6, 2)
     text = FULL_CFG.replace("[molecule]\n", "[molecule]\nname = OCS 100%\n")
     assert _load_text(tmp_path / "pct.cfg", text).molecule.name == "OCS 100%"
     with pytest.raises(ConfigError, match=re.escape("[scan] exclude_quarters:")):
         _load_text(tmp_path / "pct.cfg", _with_line("scan", "exclude_quarters = 50%"))
+
+
+def test_settings_hold_each_config_key_once(tmp_path):
+    loaded = _load_text(tmp_path / "full.cfg", FULL_CFG)
+    keys = {key for section in _KEYS.values() for key in section}
+    assert not keys & {f.name for f in dataclasses.fields(RunSettings)}
+    # every key the file sets, and every default of the sections it has
+    parser = configparser.ConfigParser()
+    parser.read_string(FULL_CFG)
+    expected = {key for section in parser.sections() for key, (_, default)
+                in _KEYS[section].items() if key in parser[section] or default is not None}
+    assert set(loaded.values) == expected
 
 
 def test_scan_validation(tmp_path):
@@ -985,6 +999,17 @@ def test_scan_and_opt_need_a_scan_section(tmp_path, capsys, verb):
     cfg = write_cfg(tmp_path, COLD_SIM)
     assert cli.main([verb, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "rotecho: config error: this command needs a [scan] section\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, body", [("scan", COLD_SCAN_P2), ("opt", COLD_OPT)],
+                         ids=["scan", "opt"])
+@pytest.mark.parametrize("halfwidth", ["-1.0", "0"])
+def test_scan_and_opt_reject_a_non_positive_window(tmp_path, capsys, verb, body, halfwidth):
+    cfg = write_cfg(tmp_path, body + f"window_halfwidth_ps = {halfwidth}\n")
+    assert cli.main([verb, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "rotecho: config error: [scan] window_halfwidth_ps: must be positive\n"
     assert not (tmp_path / "out").exists()
 
 

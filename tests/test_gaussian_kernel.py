@@ -292,8 +292,9 @@ def test_pulse_groups_lay_diagonals_out_as_padded_columns(molecule, j_max, trail
 
 
 # One gaussian two-pulse run at j_max = 80, 296 K, on a basis whose
-# eigensystems are built, peaks at 4.26 MiB of traced allocations: the
-# groups' columns and V copies, one group's kick table and the trace.
+# eigensystems are built, peaks at 3.80 MiB of traced allocations: the
+# groups' columns and V copies, one group's kick table and the trace
+# (4.27 MiB when each group also gathered a copy of the flight table).
 # Handing _pulse_groups dense diag(sqrt p) or identity columns and building
 # each kick table beside a float temporary took it to 5.12 MiB.  The
 # bound sits between.
