@@ -15,13 +15,13 @@ gives each half's propagator U, and sandwiches each block with it.  The
 impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
 
 A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
-(mu = 1) from first pulse to last, with no density matrix; all-impulsive
-sequences run on the density matrix, which is the reference.  The
-optimum search, averaged scans and isolated echoes of impulsive configs
-run the amplitude kernel at the end of the module, which kicks the same
-columns with halves of one shape stacked, one batched product per group,
-and sums their shares of a spectrum in (m, h) order, which keeps the
-bits a loop over single halves gives.
+(mu = 1), one group of halves at a time from first pulse to last, with no
+density matrix; all-impulsive sequences run on the density matrix, which
+is the reference.  The optimum search, averaged scans and isolated echoes
+of impulsive configs run the amplitude kernel at the end of the module,
+which kicks the same columns with halves of one shape stacked.  Both add
+the groups' shares of a spectrum in (m, h) order, which keeps the bits a
+loop over single halves gives.
 """
 
 from __future__ import annotations
@@ -340,17 +340,16 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
         yield alphas, taus, is_sample
 
 
-def _pulse_groups(basis: RotorBasis, halves: list) -> list:
-    """Stack (m, h, d) halves in (m, h) order, d a half's diagonal with its
-    c nonzero entries leading, as (g * cos^2 diagonal, g * Delta-J = 2 band,
-    g, eigenvalues, V, J of each row as a column, Z = diag(d)[:, :c],
-    (m, h, rows, c) per half) groups, each array with a leading half axis;
-    the first three are the layout _spectra reads.  Halves with n and n + 1
-    rows share a group (21 at j_max = 80, not 41): the smaller gets an inert
-    level, V's identity with eigenvalue, bands, amplitudes and (as J = 0)
-    frequency 0, so its row stays exactly 0, as do the zero columns that
-    pad a narrower Z."""
-    groups = []
+def _pulse_groups(basis: RotorBasis, halves: list) -> Iterator:
+    """Yield (m, h, d) halves stacked in (m, h) order, d a half's diagonal
+    with its c nonzero entries leading, one group at a time, as (g * cos^2
+    diagonal, g * Delta-J = 2 band, g, eigenvalues, V, J of each row as a
+    column, Z = diag(d)[:, :c], (m, h, rows, c) per half), each array with
+    a leading half axis; the first three are the layout _spectrum_part
+    reads.  Halves with n and n + 1 rows share a group (21 at j_max = 80,
+    not 41): the smaller gets an inert level, V's identity with eigenvalue,
+    bands, amplitudes and (as J = 0) frequency 0, so its row stays exactly
+    0, as do the zero columns that pad a narrower Z."""
     for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
         members = [(m, h, d.size, np.count_nonzero(d), d) for m, h, d in run]
         k = len(members)
@@ -363,41 +362,43 @@ def _pulse_groups(basis: RotorBasis, halves: list) -> list:
             gd[i, :n], go[i, : n - 1] = (g[i] * band[h::2] for band in basis._cos2_bands(m))
             lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
             js[i, :n, 0], zs[i, range(c), range(c)] = np.arange(m + h, basis.j_max + 1, 2), d[:c]
-        groups.append((gd, go, g, lam, v, js, zs, [member[:4] for member in members]))
-    return groups
+        yield gd, go, g, lam, v, js, zs, [member[:4] for member in members]
 
 
-def _step_pulse(groups: list, omegas, pulse: PulseSpec, solver: SolverOptions, sample_times):
-    """Carry each group's columns Z across the pulse window in place, on
-    the stages of _pulse_segments; returns <cos^2 theta> at the sample
-    times, added group after group.  A flight tau is the row phase
-    exp(-i*w_J*tau) and a kick alpha V (exp(i*alpha*lambda) * (V^T Z)), two
-    real products into buffers made once per group.  The pulse's flight
-    phases are tabled once over the levels J, and each group's kick phases
-    once for the whole pulse."""
+def _pulse_table(pulse: PulseSpec, solver: SolverOptions, omegas, sample_times) -> tuple:
+    """A gaussian pulse's (segments, stage kicks, flight phases
+    exp(-i*w_J*tau) over the levels J), built once for every group."""
     segments = list(_pulse_segments(pulse, solver, sample_times))
     alphas, taus = (np.concatenate([seg[i] for seg in segments]) for i in (0, 1))
-    levels = np.exp(-1j * np.multiply.outer(taus, omegas))
-    values = np.zeros(sum(is_sample for *_, is_sample in segments))
-    for gd, go, _, lam, v, js, z, _ in groups:  # one group's tables alive at a time
-        kicks = np.multiply.outer(1j * alphas, lam)
-        kicks = iter(np.exp(kicks, out=kicks)[..., None])
-        flights = (row[js] for row in levels)
-        vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
-        yf, samples = y.view(np.float64), iter(range(values.size))
-        for stages, _, is_sample in segments:
-            if stages.size:
+    return segments, alphas, np.exp(-1j * np.multiply.outer(taus, omegas))
+
+
+def _step_pulse(group: tuple, table: tuple) -> np.ndarray:
+    """Carry one group's columns Z across a pulse window in place, on the
+    stages of the pulse's _pulse_table; returns the group's share of
+    <cos^2 theta> at the sample times, which callers add group after group.
+    A flight tau is a row of the flight table and a kick alpha V
+    (exp(i*alpha*lambda) * (V^T Z)), two real products into buffers made
+    once per group; the group's kick phases are tabled once for the pulse."""
+    (segments, alphas, levels), (gd, go, _, lam, v, js, z, _) = table, group
+    kicks = np.multiply.outer(1j * alphas, lam)
+    kicks = iter(np.exp(kicks, out=kicks)[..., None])
+    flights = (row[js] for row in levels)
+    vt, zf, y = v.transpose(0, 2, 1), z.view(np.float64), np.empty_like(z)
+    yf, shares = y.view(np.float64), []
+    for stages, _, is_sample in segments:
+        if stages.size:
+            z *= next(flights)
+            for _ in stages:
+                np.matmul(vt, zf, out=yf)
+                y *= next(kicks)
+                np.matmul(v, yf, out=zf)
                 z *= next(flights)
-                for _ in stages:
-                    np.matmul(vt, zf, out=yf)
-                    y *= next(kicks)
-                    np.matmul(v, yf, out=zf)
-                    z *= next(flights)
-            if is_sample:  # Re(a b*) = a.re b.re + a.im b.im
-                rows = np.einsum("gik,gik->gi", zf, zf)
-                band = np.einsum("gik,gik->gi", zf[:, :-1], zf[:, 1:])
-                values[next(samples)] += float(np.sum(gd * rows) + 2.0 * np.sum(go * band))
-    return values
+        if is_sample:  # Re(a b*) = a.re b.re + a.im b.im
+            rows = np.einsum("gik,gik->gi", zf, zf)
+            band = np.einsum("gik,gik->gi", zf[:, :-1], zf[:, 1:])
+            shares.append(float(np.sum(gd * rows) + 2.0 * np.sum(go * band)))
+    return np.array(shares)
 
 
 def _apply_gaussian_pulse(
@@ -410,11 +411,11 @@ def _apply_gaussian_pulse(
     block is then sandwiched as U rho U^dagger, as impulsive_kick does."""
     halves = [(m, h, np.ones(n)) for m, block in enumerate(rho.blocks)
               for h in (0, 1) if (n := block[h::2].shape[0])]
-    groups = _pulse_groups(rho.basis, halves)
-    _step_pulse(groups, rho.basis.omegas(rho.molecule), pulse, solver, ())
+    table = _pulse_table(pulse, solver, rho.basis.omegas(rho.molecule), ())
     us = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
-    for *_, zs, members in groups:
-        for (m, h, n, _), z in zip(members, zs):
+    for group in _pulse_groups(rho.basis, halves):  # one group's columns alive at a time
+        _step_pulse(group, table)
+        for (m, h, n, _), z in zip(group[-1], group[-2]):
             us[m][h::2, h::2] = z[:n, :n]
     blocks = tuple(u @ block @ u.conj().T for u, block in zip(us, rho.blocks))
     return MBlockDensityMatrix(basis=rho.basis, molecule=rho.molecule, blocks=blocks)
@@ -458,31 +459,35 @@ def _sample_times(config: ExperimentConfig) -> np.ndarray:
 def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, times) -> tuple:
     """run_pulse_sequence's (stages, in-pulse samples) from the thermal
     columns W = sqrt(p) of each populated (m, J-parity) half, rho = W
-    W^dagger, carried from the first pulse to the last: a free flight is a
-    row phase, an impulsive pulse one kick and a gaussian one _step_pulse.
-    After each pulse _spectra reads the spectrum and the weighted norm."""
+    W^dagger.  No group reads another's columns, so each is built, carried
+    from the first pulse to the last (a free flight is a row phase, an
+    impulsive pulse one kick and a gaussian one _step_pulse) and dropped;
+    its shares of each pulse's spectrum and samples are added in order."""
     p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
     roots = ((m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1)))
     halves = [(m, h, w) for m, h, w in roots if np.any(w)]
-    groups, omegas = _pulse_groups(basis, halves), basis.omegas(config.molecule)
-    # clamped: a padded half's last coherence is exactly 0 and may point past j_max - 2
-    targets = np.concatenate([m + h + np.arange(0, 2 * go.shape[1], 2)
-                              for _, go, *_, members in groups for m, h, *_ in members])
-    thermal = (groups, np.minimum(targets, basis.j_max - 2), omegas[2:] - omegas[:-2])
-    stages, inner, cursor = [], [], min(0.0, windows[0][0])
-    for pulse, (w_start, w_end) in zip(config.pulses, windows):
-        for *_, lam, v, js, z, _ in groups:
-            if w_start > cursor:
-                z *= np.exp(-1j * (w_start - cursor) * omegas)[js]
-            if pulse.shape == "impulsive":
+    omegas, bounds = basis.omegas(config.molecule), np.searchsorted(times, windows, side="left")
+    tables = [_pulse_table(pulse, config.solver, omegas, times[lo:hi]) if pulse.shape == "gaussian"
+              else None for pulse, (lo, hi) in zip(config.pulses, bounds)]
+    acc, targets = [(np.zeros(hi - lo), []) for lo, hi in bounds], []  # samples, spectrum parts
+    for group in _pulse_groups(basis, halves):  # one group's columns alive at a time
+        _, go, _, lam, v, js, z, members = group
+        targets += [m + h + np.arange(0, 2 * go.shape[1], 2) for m, h, *_ in members]
+        cursor = min(0.0, windows[0][0])
+        for pulse, (start, end), table, (vals, parts) in zip(config.pulses, windows, tables, acc):
+            if start > cursor:
+                z *= np.exp(-1j * (start - cursor) * omegas)[js]
+            if table is None:
                 y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
                 z[...] = _rotate(v, y)
-        if pulse.shape == "gaussian":
-            lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
-            inner.append((lo, hi, _step_pulse(groups, omegas, pulse, config.solver, times[lo:hi])))
-        stages.append((w_end, _spectra(thermal, [z for *_, z, _ in groups], 1)[0]))
-        cursor = w_end
-    return stages, inner
+            else:
+                vals += _step_pulse(group, table)
+            parts.append(_spectrum_part(group, z, 1))
+            cursor = end
+    # clamped: a padded half's last coherence is exactly 0 and may point past j_max - 2
+    layout = (np.minimum(np.concatenate(targets), basis.j_max - 2), omegas[2:] - omegas[:-2])
+    stages = [(end, _spectra(layout, parts, 1)[0]) for (_, end), (_, parts) in zip(windows, acc)]
+    return stages, [(lo, hi, vals) for (lo, hi), (vals, _) in zip(bounds, acc)]  # empty at a kick
 
 
 def run_pulse_sequence(
@@ -551,8 +556,8 @@ def _rotate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
-    """(groups, spectrum index of each Delta-J = 2 element, coherence
-    frequencies) of the thermal state.
+    """(groups, (spectrum index of each Delta-J = 2 element, coherence
+    frequencies)) of the thermal state.
 
     A group is a run of the basis's equal-size (m, J-parity) halves with
     equal populated count c > 0 (p falls with J in a parity, so those
@@ -577,26 +582,29 @@ def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
             groups.append((*(np.array(a) for a in fields), *(a[: len(tails)] for a in tails[0])))
     targets = np.concatenate([(j0[:, None] + np.arange(0, 2 * gco.shape[1], 2)).ravel()
                               for j0, _, gco, *_ in groups])
-    return [group[1:] for group in groups], targets, omegas[2:] - omegas[:-2]
+    return [group[1:] for group in groups], (targets, omegas[2:] - omegas[:-2])
 
 
-def _spectra(thermal: tuple, states, n_states: int) -> list:
+def _spectrum_part(group: tuple, z: np.ndarray, n_states: int) -> tuple:
+    """One group's share of _spectra: z, its (halves, rows, n_states *
+    columns) amplitudes, reduced at once to row dot products, as each
+    half's (cos^2 expectation, weighted norm, Delta-J = 2 coherences) per
+    state; group leads with (g * cos^2 diagonal, g * Delta-J = 2 band, g)."""
+    (gcd, gco, g, *_), z = group, z.reshape(*z.shape[:2], n_states, -1)
+    pop = np.einsum("gisj,gisj->gis", z.view(np.float64), z.view(np.float64))
+    amp = np.einsum("gisj,gisj->gsi", z[:, :-1], z[:, 1:].conj()) * gco[:, None, :]
+    coh = amp.transpose(1, 0, 2).reshape(n_states, -1)
+    return (gcd[:, None, :] @ pop)[:, 0], g[:, None] * pop.sum(axis=1), coh
+
+
+def _spectra(layout: tuple, parts, n_states: int) -> list:
     """(dc, amp, freqs) of n_states states, as _coherence_spectrum gives
-    them; states holds one (halves, rows, n_states * columns) amplitude
-    array per group, reduced at once to row dot products.  The halves'
-    shares are then added one after another in (m, h) order, the order that
-    fixes the bits of each sum.  Checks each weighted norm.  Called by the
-    amplitude kernel and by _column_stages, whose padded halves' clamped
-    last targets add an exact 0."""
-    groups, targets, freqs = thermal
-    dc, norm, coh = [], [], []
-    for (gcd, gco, g, *_), z in zip(groups, states):
-        z = z.reshape(*z.shape[:2], n_states, -1)
-        pop = np.einsum("gisj,gisj->gis", z.view(np.float64), z.view(np.float64))
-        dc.append((gcd[:, None, :] @ pop)[:, 0])
-        norm.append(g[:, None] * pop.sum(axis=1))
-        amp = np.einsum("gisj,gisj->gsi", z[:, :-1], z[:, 1:].conj()) * gco[:, None, :]
-        coh.append(amp.transpose(1, 0, 2).reshape(n_states, -1))
+    them, from the groups' _spectrum_part shares; layout holds the spectrum
+    index of each Delta-J = 2 element and the frequencies.  The halves'
+    shares are added one after another in (m, h) order, the order that
+    fixes the bits of each sum.  Checks each weighted norm.  _column_stages'
+    padded halves' clamped last targets add an exact 0."""
+    (targets, freqs), (dc, norm, coh) = layout, zip(*parts)
     # cumsum and add.at add in index order, one half after another
     dc, norm = (np.cumsum(np.concatenate(a), axis=0)[-1] for a in (dc, norm))
     coh, amp = np.concatenate(coh, axis=1), np.zeros((n_states, freqs.size), dtype=complex)
@@ -627,7 +635,7 @@ def _impulsive_values(
     dtau = t_b - t_a
     if "thermal" not in cache:
         cache["thermal"] = _thermal_halves(config, basis)
-    thermal, groups = cache["thermal"], cache["thermal"][0]
+    groups, layout = cache["thermal"]
     if cache.get("first", (None,))[0] != (k1, dtau):
         for entry in ("first", "window"):  # free the old entry before building the new one
             cache.pop(entry, None)
@@ -640,7 +648,8 @@ def _impulsive_values(
                 xs.append(_rotate(v.transpose(0, 2, 1), np.exp(-1j * dtau * om)[..., None] * w1))
                 yield w1
 
-        s1 = _spectra(thermal, first_kick(), 1)[0]
+        parts = (_spectrum_part(group, w1, 1) for group, w1 in zip(groups, first_kick()))
+        s1 = _spectra(layout, parts, 1)[0]
         cache["first"] = ((k1, dtau), s1, xs)
     _, s1, xs = cache["first"]
     window = (t_a, t_b, times.tobytes())
@@ -657,6 +666,7 @@ def _impulsive_values(
             np.multiply(v.transpose(0, 2, 1)[..., :c], w[:, None, :], out=buf[..., c:])
             yield _rotate(v, np.multiply(np.exp(1j * k2 * lam)[..., None], buf, out=buf))
 
+    parts = (_spectrum_part(group, z, 2) for group, z in zip(groups, second_kick()))
     two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0
-                   for dc, amp, _ in _spectra(thermal, second_kick(), 2))
+                   for dc, amp, _ in _spectra(layout, parts, 2))
     return np.concatenate([np.zeros(lo_b), two - only_1 - second])

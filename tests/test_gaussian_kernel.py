@@ -6,9 +6,10 @@ sixth-order composition, 9 stages per step): one full-block Q per
 distinct free flight, a sandwich after each kick.  A closed-form
 first-order oracle checks the pulse against the impulsive kick instead,
 and an adaptive ODE integration of the Schrodinger equation checks a
-full-strength pulse with no split at all.  The last tests hold the
-kernel's column layout, built from each half's diagonal, and the traced
-memory peak of one gaussian run.
+full-strength pulse with no split at all.  A pulse-major reference built
+from the route's own pieces holds the bits of the group-major route.  The
+last tests hold the kernel's column layout, built from each half's
+diagonal, and the traced memory peak of one gaussian run.
 """
 
 import itertools
@@ -46,8 +47,13 @@ from rotecho.propagate import (
     _piecewise,
     _pulse_groups,
     _pulse_segments,
+    _pulse_table,
     _pulse_window,
+    _rotate,
     _sample_times,
+    _spectra,
+    _spectrum_part,
+    _step_pulse,
 )
 
 TOL = 1e-12
@@ -107,41 +113,97 @@ def _dense_trace(config, basis):
     return values
 
 
+sequences = st.tuples(*[st.sampled_from(["impulsive", "gaussian"])] * 3).filter(lambda s: "gaussian" in s)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     temperature=st.sampled_from([0.0, 30.0, 296.0]),
     weight_odd=st.sampled_from([0.0, 1.0]),
     j_max=st.integers(2, 12),
-    first=st.sampled_from(["impulsive", "gaussian"]),
-    k1=kicks,
-    k2=kicks,
+    shapes=sequences,
+    strengths=st.tuples(kicks, kicks, kicks),
     substeps=st.integers(1, 48),
     samples_per_window=st.floats(0.3, 6.0),
 )
 def test_gaussian_kernel_matches_the_dense_oracle(
-    temperature, weight_odd, j_max, first, k1, k2, substeps, samples_per_window
+    temperature, weight_odd, j_max, shapes, strengths, substeps, samples_per_window
 ):
     # truncation_tol = 1 admits small bases at 296 K; a first pulse of
-    # either shape hands the second one a non-diagonal state, and its
-    # change to the thermal state is Hermitian with negative eigenvalues
+    # either shape hands a gaussian one a non-diagonal state, and its
+    # change to the thermal state is Hermitian with negative eigenvalues.
+    # Three pulses of drawn shapes run each group through flights between
+    # pulses and give each pulse its own spectrum and in-window samples
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_odd=weight_odd)
     solver = SolverOptions(substeps=substeps, truncation_tol=1.0)
-    p1 = PulseSpec(t0=0.5, kick=k1, shape=first)
-    p2 = PulseSpec(t0=1.5, kick=k2)
-    dt_sample = 2.0 * WINDOW_SIGMAS * p2.sigma() / samples_per_window
-    cfg = ExperimentConfig(mol, (p1, p2), t_end=2.5, dt_sample=dt_sample, j_max=j_max, solver=solver)
+    pulses = tuple(PulseSpec(t0=t0, kick=k, shape=shape)
+                   for t0, k, shape in zip((0.5, 1.5, 2.5), strengths, shapes))
+    gaussian = next(p for p in pulses[::-1] if p.shape == "gaussian")
+    dt_sample = 2.0 * WINDOW_SIGMAS * gaussian.sigma() / samples_per_window
+    cfg = ExperimentConfig(mol, pulses, t_end=3.5, dt_sample=dt_sample, j_max=j_max, solver=solver)
     basis = RotorBasis(j_max)
     thermal = thermal_state(mol, basis, 1.0)
-    rho = apply_pulse(thermal, p1, solver)
+    rho = apply_pulse(thermal, pulses[0], solver)
     change = MBlockDensityMatrix(basis, mol, tuple(a - b for a, b in zip(rho.blocks, thermal.blocks)))
     for state in (rho, change):
-        out, dense = apply_pulse(state, p2, solver), _dense_pulse(state, p2, solver)[0]
+        out, dense = apply_pulse(state, gaussian, solver), _dense_pulse(state, gaussian, solver)[0]
         assert max(np.max(np.abs(a - b)) for a, b in zip(out.blocks, dense.blocks)) <= TOL
     # a sequence with a gaussian pulse runs on the thermal columns and
     # builds no density matrix
     with mock.patch("rotecho.propagate.thermal_state", side_effect=AssertionError("dense state")):
         values = run_pulse_sequence(cfg, basis).values
     assert np.max(np.abs(values - _dense_trace(cfg, basis))) <= TOL
+
+
+def _pulse_major_values(config, basis):
+    """run_pulse_sequence's values with every group built up front and
+    stepped through one pulse before any group meets the next, each pulse's
+    samples and spectrum summed over the groups in (m, h) order: the bits
+    the group-major route must keep."""
+    times, windows = _sample_times(config), [_pulse_window(pulse) for pulse in config.pulses]
+    p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
+    halves = [(m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1))
+              if np.any(p[m + h :: 2])]
+    groups, omegas = list(_pulse_groups(basis, halves)), basis.omegas(config.molecule)
+    targets = np.concatenate([m + h + np.arange(0, 2 * go.shape[1], 2)
+                              for _, go, *_, members in groups for m, h, *_ in members])
+    layout = (np.minimum(targets, basis.j_max - 2), omegas[2:] - omegas[:-2])
+    stages, inner, cursor = [], [], min(0.0, windows[0][0])
+    for pulse, (w_start, w_end) in zip(config.pulses, windows):
+        lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
+        vals, table = np.zeros(hi - lo), _pulse_table(pulse, config.solver, omegas, times[lo:hi])
+        for group in groups:
+            *_, lam, v, js, z, _ = group
+            if w_start > cursor:
+                z *= np.exp(-1j * (w_start - cursor) * omegas)[js]
+            if pulse.shape == "impulsive":
+                y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
+                z[...] = _rotate(v, y)
+            else:
+                vals += _step_pulse(group, table)
+        stages.append((w_end, _spectra(layout, [_spectrum_part(g, g[-2], 1) for g in groups], 1)[0]))
+        inner.append((lo, hi, vals))
+        cursor = w_end
+    values = _piecewise(times, stages)
+    for lo, hi, vals in inner:
+        values[lo:hi] = vals - 1.0 / 3.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "molecule, j_max",
+    [(MoleculeSpec(b_cm=0.2034), 60), (MoleculeSpec(b_cm=0.2034, temperature_k=5.0), 30)],
+    ids=["296K", "5K"],
+)
+def test_group_major_route_keeps_the_bits_of_the_pulse_major_order(molecule, j_max):
+    # the flight before the first pulse only phases the thermal columns'
+    # rows, and a group's shares reordered move only round-off, so the
+    # dense oracle's 1e-12 sees neither; the bits do
+    pulses = tuple(PulseSpec(t0=t0, kick=k, shape=shape) for t0, k, shape in
+                   ((0.5, 1.0, "gaussian"), (1.5, 2.0, "impulsive"), (2.5, 1.5, "gaussian")))
+    cfg = ExperimentConfig(molecule, pulses, t_end=3.5, dt_sample=0.02, j_max=j_max)
+    basis = RotorBasis(j_max)
+    assert np.array_equal(run_pulse_sequence(cfg, basis).values, _pulse_major_values(cfg, basis))
 
 
 @pytest.mark.parametrize("element", [(0, 1), (3, 2)])
@@ -283,7 +345,7 @@ def test_pulse_groups_lay_diagonals_out_as_padded_columns(molecule, j_max, trail
         for padded, (*_, z) in zip(zs, run):
             padded[: z.shape[0], : z.shape[1]] = z
         expected.append((zs, [(m, h, *z.shape) for m, h, z in run]))
-    groups = _pulse_groups(basis, halves)
+    groups = list(_pulse_groups(basis, halves))
     assert len(groups) == len(expected)
     for (*_, zs, members), (want_zs, want_members) in zip(groups, expected):
         assert zs.shape == want_zs.shape and zs.tobytes() == want_zs.tobytes()
@@ -292,13 +354,14 @@ def test_pulse_groups_lay_diagonals_out_as_padded_columns(molecule, j_max, trail
 
 
 # One gaussian two-pulse run at j_max = 80, 296 K, on a basis whose
-# eigensystems are built, peaks at 3.80 MiB of traced allocations: the
-# groups' columns and V copies, one group's kick table and the trace
-# (4.27 MiB when each group also gathered a copy of the flight table).
-# Handing _pulse_groups dense diag(sqrt p) or identity columns and building
-# each kick table beside a float temporary took it to 5.12 MiB.  The
-# bound sits between.
-GAUSSIAN_RUN_PEAK_MIB = 4.7
+# eigensystems are built, peaks at 1.35 MiB of traced allocations: one
+# group's columns, V copy, buffer and kick table beside both pulses'
+# flight tables, as each group runs the whole sequence before the next is
+# built.  Stepping all 21 groups through one pulse before the next kept
+# every group's columns and V copy alive and peaked at 3.80 MiB (4.27 MiB
+# when each group also gathered a copy of the flight table, 5.12 MiB with
+# dense diag(sqrt p) or identity columns).  The bound sits between.
+GAUSSIAN_RUN_PEAK_MIB = 2.0
 
 
 def test_one_gaussian_run_stays_under_its_traced_peak(ocs):
