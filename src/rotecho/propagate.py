@@ -9,8 +9,8 @@ sixth-order composition of nine Strang stages, so the evolution is
 unconditionally unitary and the splitting error falls as the sixth power
 of the step.  Neither part mixes J parity, so a pulse carries columns Z
 of each (m, J-parity) half in the J basis through the chain: a flight is
-an elementwise phase and a kick two real products, batched for halves of
-two neighbouring sizes.  apply_pulse carries identity columns, which
+an elementwise phase and a kick two real products, batched over a group
+of halves of one shape.  apply_pulse carries identity columns, which
 gives each half's propagator U, and sandwiches each block with it.  The
 impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
 
@@ -19,8 +19,9 @@ A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
 density matrix; all-impulsive sequences run on the density matrix, which
 is the reference.  The optimum search, averaged scans and isolated echoes
 of impulsive configs run the amplitude kernel at the end of the module,
-which kicks the same columns with halves of one shape stacked.  Both add
-the groups' shares of a spectrum in (m, h) order, which keeps the bits a
+which kicks the same columns.  One builder, _column_groups, makes the
+groups of both engines and of apply_pulse, and both engines add the
+groups' shares of a spectrum in (m, h) order, which keeps the bits a
 loop over single halves gives.
 """
 
@@ -340,31 +341,6 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
         yield alphas, taus, is_sample
 
 
-def _pulse_groups(basis: RotorBasis, halves: list) -> Iterator:
-    """Yield (m, h, d) halves stacked in (m, h) order, d a half's diagonal
-    with its c nonzero entries leading, one group at a time, as (g * cos^2
-    diagonal, g * Delta-J = 2 band, g, eigenvalues, V, J of each row as a
-    column, Z = diag(d)[:, :c], (m, h, rows, c) per half), each array with
-    a leading half axis; the first three are the layout _spectrum_part
-    reads.  Halves with n and n + 1 rows share a group (21 at j_max = 80,
-    not 41): the smaller gets an inert level, V's identity with eigenvalue,
-    bands, amplitudes and (as J = 0) frequency 0, so its row stays exactly
-    0, as do the zero columns that pad a narrower Z."""
-    for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
-        members = [(m, h, d.size, np.count_nonzero(d), d) for m, h, d in run]
-        k = len(members)
-        rows, cols = (max(member[i] for member in members) for i in (2, 3))
-        g = np.array([MBlockDensityMatrix.degeneracy(m) for m, *_ in members])
-        (gd, lam), js = np.zeros((2, k, rows)), np.zeros((k, rows, 1), dtype=int)
-        go, v = np.zeros((k, rows - 1)), np.tile(np.eye(rows), (k, 1, 1))
-        zs = np.zeros((k, rows, cols), dtype=complex)
-        for i, (m, h, n, c, d) in enumerate(members):
-            gd[i, :n], go[i, : n - 1] = (g[i] * band[h::2] for band in basis._cos2_bands(m))
-            lam[i, :n], v[i, :n, :n] = basis._parity_eigensystems(m)[h]
-            js[i, :n, 0], zs[i, range(c), range(c)] = np.arange(m + h, basis.j_max + 1, 2), d[:c]
-        yield gd, go, g, lam, v, js, zs, [member[:4] for member in members]
-
-
 def _pulse_table(pulse: PulseSpec, solver: SolverOptions, omegas, sample_times) -> tuple:
     """A gaussian pulse's (segments, stage kicks, flight phases
     exp(-i*w_J*tau) over the levels J), built once for every group."""
@@ -373,14 +349,15 @@ def _pulse_table(pulse: PulseSpec, solver: SolverOptions, omegas, sample_times) 
     return segments, alphas, np.exp(-1j * np.multiply.outer(taus, omegas))
 
 
-def _step_pulse(group: tuple, table: tuple) -> np.ndarray:
-    """Carry one group's columns Z across a pulse window in place, on the
-    stages of the pulse's _pulse_table; returns the group's share of
-    <cos^2 theta> at the sample times, which callers add group after group.
-    A flight tau is a row of the flight table and a kick alpha V
-    (exp(i*alpha*lambda) * (V^T Z)), two real products into buffers made
-    once per group; the group's kick phases are tabled once for the pulse."""
-    (segments, alphas, levels), (gd, go, _, lam, v, js, z, _) = table, group
+def _step_pulse(group: tuple, z: np.ndarray, table: tuple) -> np.ndarray:
+    """Carry a _column_groups group's columns z across a pulse window in
+    place, on the stages of the pulse's _pulse_table; returns the group's
+    share of <cos^2 theta> at the sample times, which callers add group
+    after group.  A flight tau is a row of the flight table gathered at the
+    J of each row and a kick alpha V (exp(i*alpha*lambda) * (V^T z)), two
+    real products into buffers made once per group; the group's kick
+    phases are tabled once for the pulse."""
+    (segments, alphas, levels), (gd, go, _, js, _, lam, v) = table, group
     kicks = np.multiply.outer(1j * alphas, lam)
     kicks = iter(np.exp(kicks, out=kicks)[..., None])
     flights = (row[js] for row in levels)
@@ -401,6 +378,12 @@ def _step_pulse(group: tuple, table: tuple) -> np.ndarray:
     return np.array(shares)
 
 
+def _columns(group: tuple) -> np.ndarray:
+    """A group's columns diag(w): w on the diagonal of its halves' rows by c."""
+    *_, w, _, v = group
+    return w[:, None, :] * np.eye(v.shape[1], w.shape[1], dtype=complex)
+
+
 def _apply_gaussian_pulse(
     rho: MBlockDensityMatrix, pulse: PulseSpec, solver: SolverOptions
 ) -> MBlockDensityMatrix:
@@ -409,16 +392,16 @@ def _apply_gaussian_pulse(
     _step_pulse carries the identity columns of each (m, J-parity) half,
     which makes them that half's propagator U across the window; each m
     block is then sandwiched as U rho U^dagger, as impulsive_kick does."""
-    halves = [(m, h, np.ones(n)) for m, block in enumerate(rho.blocks)
-              for h in (0, 1) if (n := block[h::2].shape[0])]
-    table = _pulse_table(pulse, solver, rho.basis.omegas(rho.molecule), ())
+    basis, halves = rho.basis, itertools.product(range(rho.basis.j_max + 1), (0, 1))
+    groups, _ = _column_groups(basis, rho.molecule, np.ones(basis.j_max + 1))
+    table = _pulse_table(pulse, solver, basis.omegas(rho.molecule), ())
     us = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
-    for group in _pulse_groups(rho.basis, halves):  # one group's columns alive at a time
-        _step_pulse(group, table)
-        for (m, h, n, _), z in zip(group[-1], group[-2]):
-            us[m][h::2, h::2] = z[:n, :n]
+    for group in groups:  # one group's columns alive at a time
+        _step_pulse(group, z := _columns(group), table)
+        for u, (m, h) in zip(z, halves):  # z first: a half drawn past its end would be lost
+            us[m][h::2, h::2] = u
     blocks = tuple(u @ block @ u.conj().T for u, block in zip(us, rho.blocks))
-    return MBlockDensityMatrix(basis=rho.basis, molecule=rho.molecule, blocks=blocks)
+    return MBlockDensityMatrix(basis=basis, molecule=rho.molecule, blocks=blocks)
 
 
 def apply_pulse(
@@ -459,21 +442,19 @@ def _sample_times(config: ExperimentConfig) -> np.ndarray:
 def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, times) -> tuple:
     """run_pulse_sequence's (stages, in-pulse samples) from the thermal
     columns W = sqrt(p) of each populated (m, J-parity) half, rho = W
-    W^dagger.  No group reads another's columns, so each is built, carried
-    from the first pulse to the last (a free flight is a row phase, an
+    W^dagger.  No group reads another's columns, so each is built at the
+    first pulse, carried to the last (a free flight is a row phase, an
     impulsive pulse one kick and a gaussian one _step_pulse) and dropped;
     its shares of each pulse's spectrum and samples are added in order."""
-    p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
-    roots = ((m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1)))
-    halves = [(m, h, w) for m, h, w in roots if np.any(w)]
+    p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
+    groups, layout = _column_groups(basis, config.molecule, np.sqrt(p))
     omegas, bounds = basis.omegas(config.molecule), np.searchsorted(times, windows, side="left")
     tables = [_pulse_table(pulse, config.solver, omegas, times[lo:hi]) if pulse.shape == "gaussian"
               else None for pulse, (lo, hi) in zip(config.pulses, bounds)]
-    acc, targets = [(np.zeros(hi - lo), []) for lo, hi in bounds], []  # samples, spectrum parts
-    for group in _pulse_groups(basis, halves):  # one group's columns alive at a time
-        _, go, _, lam, v, js, z, members = group
-        targets += [m + h + np.arange(0, 2 * go.shape[1], 2) for m, h, *_ in members]
-        cursor = min(0.0, windows[0][0])
+    acc = [(np.zeros(hi - lo), []) for lo, hi in bounds]  # samples, spectrum parts
+    for group in groups:  # one group's columns alive at a time
+        *_, js, _, lam, v = group
+        z, cursor = _columns(group), windows[0][0]
         for pulse, (start, end), table, (vals, parts) in zip(config.pulses, windows, tables, acc):
             if start > cursor:
                 z *= np.exp(-1j * (start - cursor) * omegas)[js]
@@ -481,11 +462,9 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
                 y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
                 z[...] = _rotate(v, y)
             else:
-                vals += _step_pulse(group, table)
+                vals += _step_pulse(group, z, table)
             parts.append(_spectrum_part(group, z, 1))
             cursor = end
-    # clamped: a padded half's last coherence is exactly 0 and may point past j_max - 2
-    layout = (np.minimum(np.concatenate(targets), basis.j_max - 2), omegas[2:] - omegas[:-2])
     stages = [(end, _spectra(layout, parts, 1)[0]) for (_, end), (_, parts) in zip(windows, acc)]
     return stages, [(lo, hi, vals) for (lo, hi), (vals, _) in zip(bounds, acc)]  # empty at a kick
 
@@ -555,34 +534,33 @@ def _rotate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (v @ np.ascontiguousarray(a).view(np.float64)).view(np.complex128)
 
 
-def _thermal_halves(config: ExperimentConfig, basis: RotorBasis) -> tuple:
+def _column_groups(basis: RotorBasis, molecule: MoleculeSpec, d: np.ndarray) -> tuple:
     """(groups, (spectrum index of each Delta-J = 2 element, coherence
-    frequencies)) of the thermal state.
+    frequencies)) of the columns diag(d) of each (m, J-parity) half, d a
+    weight per level J that is nonzero on each half's leading c levels:
+    sqrt(p) gives the thermal columns W (p falls with J in a parity), ones
+    each half's identity.
 
-    A group is a run of the basis's equal-size (m, J-parity) halves with
-    equal populated count c > 0 (p falls with J in a parity, so those
-    levels lead): 61 groups of at most 4 at j_max = 120, 296 K.  It holds
-    g * cos^2 diagonal, g * Delta-J = 2 band, g, level frequencies, w =
-    sqrt(p) on the c levels, and views of the basis's eigenvalues and V,
-    each with a leading half axis in (m, h) order, as the element indices."""
-    p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
-    omegas = basis.omegas(config.molecule)
-
+    A group is a run of the basis's equal-size halves with equal c > 0:
+    61 groups of at most 4 at j_max = 120, 296 K.  It holds g * cos^2
+    diagonal, g * Delta-J = 2 band, g, the J of each row as a column, w =
+    d on the c levels, and views of the basis's eigenvalues and V, each
+    with a leading half axis in (m, h) order, as the element indices."""
     def halves():  # every half of the basis, keyed by (rows, c)
         for (m, h), lam, v, i in basis._parity_halves():
-            (diag, off), pop = basis._cos2_bands(m), p[m + h :: 2]
+            (diag, off), dh = basis._cos2_bands(m), d[m + h :: 2]
             g = MBlockDensityMatrix.degeneracy(m)
-            yield ((lam.shape[1], c := np.count_nonzero(pop)), (lam[i:], v[i:]), m + h,
-                   g * diag[h::2], g * off[h::2], g, omegas[m + h :: 2], np.sqrt(pop[:c]))
+            yield ((lam.shape[1], c := np.count_nonzero(dh)), (lam[i:], v[i:]), g * diag[h::2],
+                   g * off[h::2], g, np.arange(m + h, basis.j_max + 1, 2)[:, None], dh[:c])
 
     groups = []
     for (_, c), run in itertools.groupby(halves(), key=lambda half: half[0]):
         _, tails, *fields = zip(*run)  # tails[0]: the stacks from the run's first half on
         if c:
             groups.append((*(np.array(a) for a in fields), *(a[: len(tails)] for a in tails[0])))
-    targets = np.concatenate([(j0[:, None] + np.arange(0, 2 * gco.shape[1], 2)).ravel()
-                              for j0, _, gco, *_ in groups])
-    return [group[1:] for group in groups], (targets, omegas[2:] - omegas[:-2])
+    omegas = basis.omegas(molecule)
+    targets = np.concatenate([js[:, :-1, 0].ravel() for *_, js, _, _, _ in groups])
+    return groups, (targets, omegas[2:] - omegas[:-2])
 
 
 def _spectrum_part(group: tuple, z: np.ndarray, n_states: int) -> tuple:
@@ -602,8 +580,7 @@ def _spectra(layout: tuple, parts, n_states: int) -> list:
     them, from the groups' _spectrum_part shares; layout holds the spectrum
     index of each Delta-J = 2 element and the frequencies.  The halves'
     shares are added one after another in (m, h) order, the order that
-    fixes the bits of each sum.  Checks each weighted norm.  _column_stages'
-    padded halves' clamped last targets add an exact 0."""
+    fixes the bits of each sum.  Checks each weighted norm."""
     (targets, freqs), (dc, norm, coh) = layout, zip(*parts)
     # cumsum and add.at add in index order, one half after another
     dc, norm = (np.cumsum(np.concatenate(a), axis=0)[-1] for a in (dc, norm))
@@ -634,18 +611,19 @@ def _impulsive_values(
     (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
     dtau = t_b - t_a
     if "thermal" not in cache:
-        cache["thermal"] = _thermal_halves(config, basis)
+        p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
+        cache["thermal"] = _column_groups(basis, config.molecule, np.sqrt(p))
     groups, layout = cache["thermal"]
     if cache.get("first", (None,))[0] != (k1, dtau):
         for entry in ("first", "window"):  # free the old entry before building the new one
             cache.pop(entry, None)
-        xs = []
+        xs, flight = [], np.exp(-1j * dtau * basis.omegas(config.molecule))
 
         def first_kick():  # one group's W_1 alive at a time
-            for *_, om, w, lam, v in groups:
+            for *_, js, w, lam, v in groups:
                 vt_w = v.transpose(0, 2, 1)[..., : w.shape[1]] * w[:, None, :]
                 w1 = _rotate(v, np.exp(1j * k1 * lam)[..., None] * vt_w)
-                xs.append(_rotate(v.transpose(0, 2, 1), np.exp(-1j * dtau * om)[..., None] * w1))
+                xs.append(_rotate(v.transpose(0, 2, 1), flight[js] * w1))
                 yield w1
 
         parts = (_spectrum_part(group, w1, 1) for group, w1 in zip(groups, first_kick()))

@@ -7,9 +7,11 @@ distinct free flight, a sandwich after each kick.  A closed-form
 first-order oracle checks the pulse against the impulsive kick instead,
 and an adaptive ODE integration of the Schrodinger equation checks a
 full-strength pulse with no split at all.  A pulse-major reference built
-from the route's own pieces holds the bits of the group-major route.  The
-last tests hold the kernel's column layout, built from each half's
-diagonal, and the traced memory peak of one gaussian run.
+from the route's own pieces holds the bits of the group-major route, and
+a sequence shifted by whole samples must give the shifted trace.  The
+last tests hold the layout of the one column builder, which the route,
+apply_pulse and the amplitude kernel share, and the traced memory peak
+of one gaussian run.
 """
 
 import itertools
@@ -44,8 +46,9 @@ from rotecho.basis import _thermal_populations
 from rotecho.propagate import (
     WINDOW_SIGMAS,
     _coherence_spectrum,
+    _column_groups,
+    _columns,
     _piecewise,
-    _pulse_groups,
     _pulse_segments,
     _pulse_table,
     _pulse_window,
@@ -156,32 +159,29 @@ def test_gaussian_kernel_matches_the_dense_oracle(
 
 
 def _pulse_major_values(config, basis):
-    """run_pulse_sequence's values with every group built up front and
-    stepped through one pulse before any group meets the next, each pulse's
-    samples and spectrum summed over the groups in (m, h) order: the bits
-    the group-major route must keep."""
+    """run_pulse_sequence's values with every group's columns built up
+    front and stepped through one pulse before any group meets the next,
+    each pulse's samples and spectrum summed over the groups in (m, h)
+    order: the bits the group-major route must keep."""
     times, windows = _sample_times(config), [_pulse_window(pulse) for pulse in config.pulses]
-    p = np.sqrt(_thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol))
-    halves = [(m, h, p[m + h :: 2]) for m, h in itertools.product(range(basis.j_max + 1), (0, 1))
-              if np.any(p[m + h :: 2])]
-    groups, omegas = list(_pulse_groups(basis, halves)), basis.omegas(config.molecule)
-    targets = np.concatenate([m + h + np.arange(0, 2 * go.shape[1], 2)
-                              for _, go, *_, members in groups for m, h, *_ in members])
-    layout = (np.minimum(targets, basis.j_max - 2), omegas[2:] - omegas[:-2])
-    stages, inner, cursor = [], [], min(0.0, windows[0][0])
+    p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
+    groups, layout = _column_groups(basis, config.molecule, np.sqrt(p))
+    zs, omegas = [_columns(group) for group in groups], basis.omegas(config.molecule)
+    stages, inner, cursor = [], [], windows[0][0]
     for pulse, (w_start, w_end) in zip(config.pulses, windows):
         lo, hi = np.searchsorted(times, (w_start, w_end), side="left")
         vals, table = np.zeros(hi - lo), _pulse_table(pulse, config.solver, omegas, times[lo:hi])
-        for group in groups:
-            *_, lam, v, js, z, _ = group
+        for group, z in zip(groups, zs):
+            *_, js, _, lam, v = group
             if w_start > cursor:
                 z *= np.exp(-1j * (w_start - cursor) * omegas)[js]
             if pulse.shape == "impulsive":
                 y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
                 z[...] = _rotate(v, y)
             else:
-                vals += _step_pulse(group, table)
-        stages.append((w_end, _spectra(layout, [_spectrum_part(g, g[-2], 1) for g in groups], 1)[0]))
+                vals += _step_pulse(group, z, table)
+        parts = [_spectrum_part(group, z, 1) for group, z in zip(groups, zs)]
+        stages.append((w_end, _spectra(layout, parts, 1)[0]))
         inner.append((lo, hi, vals))
         cursor = w_end
     values = _piecewise(times, stages)
@@ -196,14 +196,42 @@ def _pulse_major_values(config, basis):
     ids=["296K", "5K"],
 )
 def test_group_major_route_keeps_the_bits_of_the_pulse_major_order(molecule, j_max):
-    # the flight before the first pulse only phases the thermal columns'
-    # rows, and a group's shares reordered move only round-off, so the
-    # dense oracle's 1e-12 sees neither; the bits do
+    # a group's shares reordered move only round-off, so the dense
+    # oracle's 1e-12 cannot see it; the bits do
     pulses = tuple(PulseSpec(t0=t0, kick=k, shape=shape) for t0, k, shape in
                    ((0.5, 1.0, "gaussian"), (1.5, 2.0, "impulsive"), (2.5, 1.5, "gaussian")))
     cfg = ExperimentConfig(molecule, pulses, t_end=3.5, dt_sample=0.02, j_max=j_max)
     basis = RotorBasis(j_max)
     assert np.array_equal(run_pulse_sequence(cfg, basis).values, _pulse_major_values(cfg, basis))
+
+
+# Shifted by k samples, a sequence meets the grid at the same offsets, so
+# only round-off of the shifted times moves the trace: at most 3.2e-14 of
+# its peak in these two cases over k = 1, 3, 17, 50, 173.  Before the
+# first window the trace is the isotropic 0
+SHIFT_TOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "molecule, j_max, shapes",
+    [(MoleculeSpec(b_cm=0.2034), 60, ("gaussian", "impulsive", "gaussian")),
+     (MoleculeSpec(b_cm=0.2034, temperature_k=5.0), 30, ("impulsive", "gaussian", "gaussian"))],
+    ids=["296K", "5K"],
+)
+def test_shifting_every_pulse_by_k_samples_shifts_the_trace_by_k(molecule, j_max, shapes):
+    basis, dt = RotorBasis(j_max), 0.02
+
+    def trace(k):
+        pulses = tuple(PulseSpec(t0=t0 + k * dt, kick=kick, shape=shape) for t0, kick, shape in
+                       zip((0.5, 1.5, 2.5), (1.0, 2.0, 1.5), shapes))
+        cfg = ExperimentConfig(molecule, pulses, t_end=3.5 + k * dt, dt_sample=dt, j_max=j_max)
+        return run_pulse_sequence(cfg, basis).values
+
+    base = trace(0)
+    for k in (1, 17, 173):
+        shifted = trace(k)
+        assert shifted.size == base.size + k and not np.any(shifted[:k])
+        assert np.max(np.abs(shifted[k:] - base)) <= SHIFT_TOL * np.max(np.abs(base)), k
 
 
 @pytest.mark.parametrize("element", [(0, 1), (3, 2)])
@@ -265,7 +293,7 @@ def test_gaussian_pulse_is_the_impulsive_kick_filtered_by_its_envelope(temperatu
 
 
 # The largest block, both parities of m, and m = 2, whose 24-row odd-J
-# half the kernel pads to ride with the 25-row halves of m = 0 and 1
+# half leads a group with m = 3's even-J half
 _ODE_BLOCKS = (0, 1, 2, 5)
 
 
@@ -324,44 +352,54 @@ def test_full_strength_gaussian_pulse_matches_an_ode_integration(temperature, ki
      (None, 40, False)],
     ids=["296K", "5K", "weight_odd_0", "0K", "identity"],
 )
-def test_pulse_groups_lay_diagonals_out_as_padded_columns(molecule, j_max, trailing):
-    # the halves as the column route (thermal sqrt p of each populated half)
-    # and apply_pulse (ones) hand them over; each group's Z must be its
-    # halves' diag(d)[:, :c] padded to the group's rows and widest c.  At
-    # 5 K p is 0 above J = 112, so at j_max = 119 some half has c < n; at
-    # 0 K every populated half has c = 1
-    basis = RotorBasis(j_max)
-    halves = itertools.product(range(j_max + 1), (0, 1))
-    if molecule is None:
-        halves = [(m, h, np.ones(n)) for m, h in halves if (n := (j_max - m - h) // 2 + 1)]
-    else:
-        p = np.sqrt(_thermal_populations(molecule, j_max, 1e-2))
-        halves = [(m, h, p[m + h :: 2]) for m, h in halves if np.any(p[m + h :: 2])]
-    expected = []
-    for _, run in itertools.groupby(halves, key=lambda half: half[2].size // 2):
-        run = [(m, h, np.diag(d)[:, : np.count_nonzero(d)]) for m, h, d in run]
-        rows, cols = (max(z.shape[i] for *_, z in run) for i in (0, 1))
-        zs = np.zeros((len(run), rows, cols), dtype=complex)
-        for padded, (*_, z) in zip(zs, run):
-            padded[: z.shape[0], : z.shape[1]] = z
-        expected.append((zs, [(m, h, *z.shape) for m, h, z in run]))
-    groups = list(_pulse_groups(basis, halves))
-    assert len(groups) == len(expected)
-    for (*_, zs, members), (want_zs, want_members) in zip(groups, expected):
-        assert zs.shape == want_zs.shape and zs.tobytes() == want_zs.tobytes()
-        assert members == want_members
-    assert any(c < n for *_, members in groups for *_, n, c in members) == trailing
+def test_column_groups_lay_weights_out_as_leading_columns(molecule, j_max, trailing):
+    # the weights as the column route and the kernel (sqrt p) and
+    # apply_pulse (ones) hand them over.  Each group is a run of halves in
+    # (m, h) order with equal rows and equal count c of nonzero weights,
+    # which lead; its columns are each half's diag(d)[:, :c] and its J
+    # column the half's levels.  Random columns of that shape, reduced by
+    # _spectrum_part and _spectra on the layout, must give the dense
+    # state's spectrum.  At 5 K p is 0 above J = 112, so at j_max = 119
+    # some half has c < n; at 0 K every populated half has c = 1
+    basis, mol = RotorBasis(j_max), molecule or MoleculeSpec(b_cm=0.2034)
+    d = np.ones(j_max + 1) if molecule is None else np.sqrt(_thermal_populations(molecule, j_max, 1e-2))
+    halves = [(m, h, d[m + h :: 2]) for m, h in itertools.product(range(j_max + 1), (0, 1))
+              if np.any(d[m + h :: 2])]
+    runs = [list(run) for _, run in
+            itertools.groupby(halves, key=lambda half: (half[2].size, np.count_nonzero(half[2])))]
+    groups, layout = _column_groups(basis, mol, d)
+    assert [len(run) for run in runs] == [group[0].shape[0] for group in groups]
+    rng, zs = np.random.default_rng(7), []
+    for group, run in zip(groups, runs):
+        *_, js, w, _, v = group
+        for (m, h, dh), z, j in zip(run, _columns(group), js):
+            c = np.count_nonzero(dh)
+            assert not np.any(dh[c:]) and w.shape[1] == c
+            assert z.tobytes() == np.diag(dh)[:, :c].astype(complex).tobytes()
+            assert np.array_equal(j[:, 0], np.arange(m + h, j_max + 1, 2))
+        zs.append(rng.normal(size=(*v.shape[:2], w.shape[1], 2)).view(complex)[..., 0])
+    assert any(np.count_nonzero(dh) < dh.size for *_, dh in halves) == trailing
+    g = [MBlockDensityMatrix.degeneracy(m) for m, *_ in halves]
+    norm = math.sqrt(np.dot(g, [np.vdot(a, a).real for z in zs for a in z]))
+    blocks = [np.zeros((j_max + 1 - m,) * 2, dtype=complex) for m in range(j_max + 1)]
+    for (m, h, _), a in zip(halves, (a / norm for z in zs for a in z)):
+        blocks[m][h::2, h::2] = a @ a.conj().T
+    parts = [_spectrum_part(group, z / norm, 1) for group, z in zip(groups, zs)]
+    dc, amp, freqs = _spectra(layout, parts, 1)[0]
+    want = _coherence_spectrum(MBlockDensityMatrix(basis, mol, tuple(blocks)))
+    assert abs(dc - want[0]) <= TOL and np.max(np.abs(amp - want[1])) <= TOL
+    assert np.array_equal(freqs, want[2])
 
 
 # One gaussian two-pulse run at j_max = 80, 296 K, on a basis whose
-# eigensystems are built, peaks at 1.35 MiB of traced allocations: one
-# group's columns, V copy, buffer and kick table beside both pulses'
-# flight tables, as each group runs the whole sequence before the next is
-# built.  Stepping all 21 groups through one pulse before the next kept
-# every group's columns and V copy alive and peaked at 3.80 MiB (4.27 MiB
-# when each group also gathered a copy of the flight table, 5.12 MiB with
-# dense diag(sqrt p) or identity columns).  The bound sits between.
-GAUSSIAN_RUN_PEAK_MIB = 2.0
+# eigensystems are built, peaks at 1.00 MiB of traced allocations: one
+# group's columns, buffer and kick table beside both pulses' flight
+# tables, as each group of the shared builder runs the whole sequence
+# before the next is built.  The pair groups this replaced, each with a
+# zero-padded copy of V, peaked at 1.35 MiB; stepping all of them through
+# one pulse before the next peaked at 3.80 MiB (5.12 MiB with dense
+# diag(sqrt p) or identity columns).  The bound sits between the first two.
+GAUSSIAN_RUN_PEAK_MIB = 1.2
 
 
 def test_one_gaussian_run_stays_under_its_traced_peak(ocs):
