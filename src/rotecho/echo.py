@@ -290,7 +290,10 @@ def _trace_values(
     and cache the first-pulse-only trace by its config, shared by a p2 scan."""
     if kernel and all(p.shape == "impulsive" for p in config.pulses):
         times = _sample_times(config)[select]
-        return _impulsive_values(config, basis, first_pulse_cache, times)
+        (values,) = _impulsive_values([config], basis, first_pulse_cache, times)
+        if isinstance(values, ToleranceError):
+            raise values
+        return values
     values = run_two_pulse(config, basis=basis).values
     first = replace(config, pulses=config.pulses[:1])
     v1 = first_pulse_cache.get(first)
@@ -362,21 +365,30 @@ def _echo_point(dtau: float, window: tuple, nodes, node_values) -> EchoMeasureme
     return extract_secho(AlignmentTrace(times=times, values=values, config=nominal), dtau, w_eff)
 
 
-def _node_task(task: tuple | str, basis: RotorBasis, cache: dict) -> np.ndarray | str:
-    """The evaluator's first step: one node's window samples at one point.  A
-    placement failure's message passes through; a tolerance problem returns its."""
-    if isinstance(task, str):
-        return task
-    config, select, kernel = task
-    try:
-        return _trace_values(config, basis, cache, select, kernel)
-    except ToleranceError as exc:
-        return str(exc)
+def _node_task(job: tuple, basis: RotorBasis, cache: dict) -> list:
+    """The evaluator's first step: one node's window samples at each of its
+    points, which share its first pulse and window (kicked together, with
+    kernel, if impulsive).  A placement failure's message passes through; a
+    tolerance problem fails its point, or every point if in the first pulse."""
+    points, kernel = job
+    placed, values = [p for p in points if not isinstance(p, str)], []
+    if placed and kernel and all(p.shape == "impulsive" for p in placed[0][0].pulses):
+        try:
+            times = _sample_times(placed[0][0])[placed[0][1]]
+            values = _impulsive_values([config for config, _ in placed], basis, cache, times)
+        except ToleranceError as exc:
+            values = [exc] * len(placed)
+    for config, select in placed[len(values) :]:  # the points the kernel did not take
+        try:
+            values.append(_trace_values(config, basis, cache, select, kernel))
+        except ToleranceError as exc:
+            values.append(exc)
+    return [p if isinstance(p, str) else values.pop(0) for p in points]
 
 
-# A pool worker's basis and first-pulse cache, set up when the scan's
-# pool starts and gone with it.  The kernel's (k1, dtau) entry omits the
-# molecule and the solver, so the cache must never outlive one scan.
+# A pool worker's basis and cache, set up when the scan's pool starts and
+# gone with it.  The kernel caches its thermal groups under no key, so the
+# cache must never outlive one scan.
 _worker: tuple[RotorBasis, dict] | None = None
 
 
@@ -411,8 +423,8 @@ def _init_worker(basis: RotorBasis, workers: int) -> None:
     _worker = (basis, {})
 
 
-def _worker_task(task: tuple | str) -> np.ndarray | str:
-    return _node_task(task, *_worker)
+def _worker_task(job: tuple) -> list:
+    return _node_task(job, *_worker)
 
 
 def _scan_jmax(base: ExperimentConfig, points) -> int:
@@ -431,14 +443,14 @@ def _run_scan(
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
     """Scan driver over (axis value, p1, p2, dtau) tasks, serial or pooled.
 
-    Nodes run node-major (one first-pulse cache entry per shell); a pool
-    gets whole nodes as chunks if there are at least as many nodes as
-    workers, else single values, and no more workers than chunks.  Points
-    and failures come back in task order, a failure with its axis value
-    and its first failing node's message.  Each window is placed once, before
-    any node runs: a point whose window cannot fit runs no node.  The basis
-    is built once, here, only if a node runs; pool workers inherit its
-    eigensystems."""
+    A job is one node's points, each its kick-scaled config and window mask
+    or its placement message; the kernel kicks them together, group by group,
+    so no scan keeps a first-pulse entry.  A pool gets whole nodes if there
+    are at least as many nodes as workers, else single points, and no more
+    workers than jobs.  Points and failures come back in task order, a failure
+    with its axis value and its first failing node's message.  Each window is
+    placed once, before any node runs: a point whose window cannot fit runs
+    no node.  The basis is built once, here, only if a node runs."""
     # Plain scans stay on the density-matrix reference path, whose exact
     # call counts bench/test_bench.py pins; averaged scans take the kernel.
     kernel = nodes is not _PLAIN_NODES
@@ -450,14 +462,13 @@ def _run_scan(
             windows.append(_window(base, p1, p2, d, halfwidth))
         except WindowError as exc:
             windows.append(str(exc))
-    jobs = [  # a shell's job: its kick-scaled config and its point's window mask
-        w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2], kernel)
-        for f, _ in nodes for (_, p1, p2, d), w in zip(tasks, windows)
-    ]
     chunk = len(tasks) if len(nodes) >= workers else 1
-    workers = min(workers, len(jobs) // chunk)
-    results = jobs  # every job a placement message: nothing to run
-    if any(isinstance(job, tuple) for job in jobs):
+    jobs = [([w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2])
+              for (_, p1, p2, d), w in zip(tasks[i : i + chunk], windows[i : i + chunk])], kernel)
+            for f, _ in nodes for i in range(0, len(tasks), chunk)]
+    workers = min(workers, len(jobs))
+    results = [points for points, _ in jobs]  # every point a placement message: nothing to run
+    if any(isinstance(w, tuple) for w in windows):
         basis = basis if basis is not None else RotorBasis(j_max)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -467,14 +478,15 @@ def _run_scan(
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(basis, workers)
             ) as pool:
-                results = list(pool.map(_worker_task, jobs, chunksize=chunk))
+                results = list(pool.map(_worker_task, jobs))
         else:
             cache: dict = {}
             results = [_node_task(job, basis, cache) for job in jobs]
+    results = [value for node in results for value in node]
     out = []
     for i, ((ax, *_, d), window) in enumerate(zip(tasks, windows)):
         node_values = results[i :: len(tasks)]
-        failed = [(ax, v) for v in node_values if isinstance(v, str)]
+        failed = [(ax, str(v)) for v in node_values if not isinstance(v, np.ndarray)]
         out.append(failed[0] if failed else _echo_point(d, window, nodes, node_values))
     points = [r for r in out if isinstance(r, EchoMeasurement)]
     failures = [r for r in out if not isinstance(r, EchoMeasurement)]
@@ -660,7 +672,7 @@ def find_optimal_p2(
 
     if basis is None:
         basis = table(_scan_jmax(base_config, [(p1_kick, sp.p2_max, dtau)]))
-    cache: dict = {}
+    cache: dict = {"first": None}  # the kernel keeps its first-pulse entry here
 
     def measure(p2: float) -> float:
         window = _window(base_config, p1_kick, float(p2), dtau, window_halfwidth)
@@ -685,7 +697,7 @@ def find_optimal_p2(
             j_wider = _scan_jmax(base_config, [(p1_kick, new[-1], dtau)])
             if j_wider > basis.j_max:
                 basis = table(j_wider)
-                cache.clear()
+                cache = {"first": None}
             grid.extend(new)
             extensions += 1
         vals.append(abs(measure(grid[len(vals)])))

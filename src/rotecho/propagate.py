@@ -19,10 +19,11 @@ A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
 density matrix; all-impulsive sequences run on the density matrix, which
 is the reference.  The optimum search, averaged scans and isolated echoes
 of impulsive configs run the amplitude kernel at the end of the module,
-which kicks the same columns.  One builder, _column_groups, makes the
-groups of both engines and of apply_pulse, and both engines add the
-groups' shares of a spectrum in (m, h) order, which keeps the bits a
-loop over single halves gives.
+which kicks the same columns one group at a time through every second
+kick of a scan node.  One builder, _column_groups, makes the groups of
+both engines and of apply_pulse, and both engines add the groups' shares
+of a spectrum in (m, h) order, which keeps the bits a loop over single
+halves gives.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ HERM_TOL = 1e-10
 
 # Largest drift of a state's weighted trace from 1 after a pulse.
 TRACE_TOL = 1e-9
+
+# Least offsets per chunk of a free trace's Fourier sum, which bounds its exp
+# table; a 1-row chunk takes another BLAS kernel and moves bits, 64 keep them.
+FREE_CHUNK_ROWS = 256
 
 # Stage fractions of Kahan and Li's symmetric sixth-order composition of
 # nine stages (p6 s9), Math. Comp. 66, 1089 (1997); Hairer, Lubich and
@@ -286,9 +291,11 @@ def _coherence_spectrum(
 
 
 def _free_values(spectrum: tuple, t_rel: np.ndarray) -> np.ndarray:
-    """<cos^2 theta> at offsets t_rel from a state's (dc, amp, freqs) spectrum."""
+    """<cos^2 theta> at offsets t_rel from a state's (dc, amp, freqs) spectrum,
+    in chunks of FREE_CHUNK_ROWS to 2 * FREE_CHUNK_ROWS offsets."""
     dc, amp, freqs = spectrum
-    osc = np.exp(1j * np.outer(t_rel, freqs)) @ amp
+    chunks = np.array_split(t_rel, max(1, t_rel.size // FREE_CHUNK_ROWS))
+    osc = np.concatenate([np.exp(1j * np.outer(t, freqs)) @ amp for t in chunks])
     return dc + 2.0 * osc.real
 
 
@@ -494,7 +501,7 @@ def run_pulse_sequence(
         stages, inner = _column_stages(config, basis, windows, times)
     else:
         rho = thermal_state(config.molecule, basis, config.solver.truncation_tol)
-        stages, inner, cursor = [], [], min(0.0, windows[0][0])
+        stages, inner, cursor = [], [], windows[0][0]
         for pulse, (w_start, w_end) in zip(config.pulses, windows):
             if w_start > cursor:
                 rho = free_evolve(rho, w_start - cursor)
@@ -592,59 +599,59 @@ def _spectra(layout: tuple, parts, n_states: int) -> list:
     return [(dc[s], amp[s], freqs) for s in range(n_states)]
 
 
-def _impulsive_values(
-    config: ExperimentConfig, basis: RotorBasis, cache: dict, times: np.ndarray
-) -> np.ndarray:
-    """An impulsive two-pulse config's trace at times on its grid minus
-    both single-pulse traces, in run_pulse_sequence's form.
+def _impulsive_values(configs: list, basis: RotorBasis, cache: dict, times: np.ndarray) -> list:
+    """The traces at times on their grid, minus both single-pulse traces, of
+    impulsive two-pulse configs that differ only in the second kick, in
+    run_pulse_sequence's form, 0 before the second kick; a config whose
+    spectra fail the drift check gets its ToleranceError in their place.
 
-    cache keeps the thermal groups and one first-pulse entry: the
-    post-kick-1 spectrum and, per group, X = V^T F(dtau) W_1 with F the free
-    phases.  With the entry go the pieces of the last window it served that
-    no second kick changes: the first-pulse-only trace from the second kick
-    on and exp(i*outer(t - t_b, freqs)).  Before the second kick the
-    two-pulse trace is the first-pulse-only one, so the result is 0 there.
-    A kick forms V^T W = V^T[:, :c] w where it reads it.  The second kick
-    costs one product V @ (exp(i*kick*lambda) * [X | V^T W]) per group, on
-    one buffer phased in place, for the two-pulse and second-pulse-only
-    amplitudes, and one matrix-vector product per amplitude."""
-    (t_a, k1), (t_b, k2) = ((p.t0, p.kick) for p in config.pulses)
-    dtau = t_b - t_a
+    Group by group: W_1, then X = V^T F(dtau) W_1 with F the free phases (a
+    kick forms V^T W = V^T[:, :c] w where it reads it), then for each config
+    one product V @ (exp(i*kick*lambda) * [X | V^T W]) and its shares of the
+    two-pulse and second-pulse-only spectra; X is dropped and each config
+    reduced once.  cache keeps the thermal groups.  Only a cache holding the
+    key "first", the optimum search's, keeps the first-pulse entry: the
+    post-kick-1 spectrum, every X and the pieces of the last window it
+    served (the first-pulse-only trace from t_b on, exp(i*outer(t - t_b, freqs)))."""
+    (t_a, k1), (t_b, _) = ((p.t0, p.kick) for p in configs[0].pulses)
+    dtau, mol = t_b - t_a, configs[0].molecule
     if "thermal" not in cache:
-        p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
-        cache["thermal"] = _column_groups(basis, config.molecule, np.sqrt(p))
-    groups, layout = cache["thermal"]
-    if cache.get("first", (None,))[0] != (k1, dtau):
-        for entry in ("first", "window"):  # free the old entry before building the new one
-            cache.pop(entry, None)
-        xs, flight = [], np.exp(-1j * dtau * basis.omegas(config.molecule))
-
-        def first_kick():  # one group's W_1 alive at a time
-            for *_, js, w, lam, v in groups:
-                vt_w = v.transpose(0, 2, 1)[..., : w.shape[1]] * w[:, None, :]
-                w1 = _rotate(v, np.exp(1j * k1 * lam)[..., None] * vt_w)
-                xs.append(_rotate(v.transpose(0, 2, 1), flight[js] * w1))
-                yield w1
-
-        parts = (_spectrum_part(group, w1, 1) for group, w1 in zip(groups, first_kick()))
-        s1 = _spectra(layout, parts, 1)[0]
-        cache["first"] = ((k1, dtau), s1, xs)
-    _, s1, xs = cache["first"]
-    window = (t_a, t_b, times.tobytes())
-    if cache.get("window", (None,))[0] != window:
+        p = _thermal_populations(mol, basis.j_max, configs[0].solver.truncation_tol)
+        cache["thermal"] = _column_groups(basis, mol, np.sqrt(p))
+    (groups, layout), keep, entry = cache["thermal"], "first" in cache, cache.get("first")
+    fresh = entry is None or entry[0] != (k1, dtau)
+    if fresh:
+        cache.pop("first", None)  # free the old entry before building the new one
+        entry, first, flight = (None, None, [], None), [], np.exp(-1j * dtau * basis.omegas(mol))
+    xs, shares = entry[2], [[] for _ in configs]
+    for i, group in enumerate(groups):  # one group's X alive at a time, unless kept
+        *_, js, w, lam, v = group
+        x_vt_w, c = np.empty((*lam.shape, 2 * w.shape[1]), dtype=complex), w.shape[1]
+        np.multiply(v.transpose(0, 2, 1)[..., :c], w[:, None, :], out=x_vt_w[..., c:])
+        if fresh:
+            w1 = _rotate(v, np.exp(1j * k1 * lam)[..., None] * x_vt_w[..., c:])
+            first.append(_spectrum_part(group, w1, 1))
+            xs.append(_rotate(v.transpose(0, 2, 1), flight[js] * w1))
+        x_vt_w[..., :c] = xs[i] if keep else xs.pop()
+        buf = x_vt_w if len(configs) == 1 else np.empty_like(x_vt_w)  # one kick: in place
+        for config, parts in zip(configs, shares):
+            np.multiply(np.exp(1j * config.pulses[1].kick * lam)[..., None], x_vt_w, out=buf)
+            z = _rotate(v, buf)  # held until the next is made: freed at once, its pages refault
+            parts.append(_spectrum_part(group, z, 2))
+    s1 = _spectra(layout, first, 1)[0] if fresh else entry[1]
+    window, pieces = (t_a, t_b, times.tobytes()), entry[3]
+    if pieces is None or pieces[0] != window:
         lo_b = int(np.searchsorted(times, t_b, side="left"))
         phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
-        cache["window"] = (window, lo_b, phases, _piecewise(times[lo_b:], [(t_a, s1)]))
-    _, lo_b, phases, only_1 = cache["window"]
-
-    def second_kick():  # [X | V^T W] written and kicked in one buffer per group
-        for (*_, w, lam, v), x in zip(groups, xs):
-            buf, c = np.empty((*x.shape[:2], 2 * w.shape[1]), dtype=complex), w.shape[1]
-            buf[..., :c] = x
-            np.multiply(v.transpose(0, 2, 1)[..., :c], w[:, None, :], out=buf[..., c:])
-            yield _rotate(v, np.multiply(np.exp(1j * k2 * lam)[..., None], buf, out=buf))
-
-    parts = (_spectrum_part(group, z, 2) for group, z in zip(groups, second_kick()))
-    two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0
-                   for dc, amp, _ in _spectra(layout, parts, 2))
-    return np.concatenate([np.zeros(lo_b), two - only_1 - second])
+        pieces = (window, lo_b, phases, _piecewise(times[lo_b:], [(t_a, s1)]))
+    if keep:
+        cache["first"] = ((k1, dtau), s1, xs, pieces)
+    values, (_, lo_b, phases, only_1) = [], pieces
+    for parts in shares:
+        try:
+            two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0
+                           for dc, amp, _ in _spectra(layout, parts, 2))
+            values.append(np.concatenate([np.zeros(lo_b), two - only_1 - second]))
+        except ToleranceError as exc:
+            values.append(exc)
+    return values

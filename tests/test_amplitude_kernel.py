@@ -76,7 +76,7 @@ def test_kernel_matches_the_reference_composition(
         )
     basis = RotorBasis(j_max)
     window = cfg.t_end - 0.1 * revival_period(mol)
-    cache: dict = {}
+    cache: dict = {"first": None}  # a cache that keeps the first-pulse entry
     for kick in (p2, p2_next):  # the second kick reuses the cached first pulse
         cfg = replace(cfg, pulses=(cfg.pulses[0], replace(cfg.pulses[1], kick=kick)))
         _, isolated = _reference(cfg, basis)
@@ -167,19 +167,30 @@ def _per_half_values(config, basis, times):
 def test_grouped_kernel_keeps_the_bits_of_the_per_half_loop(
     temperature, weights, j_max, p1, dtau_fracs, evaluations
 ):
+    # one point at a time on one kept entry across delays, second kicks and
+    # windows, as the optimum search runs; and each delay's kicks as one
+    # node on a cache that keeps no entry, as a scan runs
     mol = MoleculeSpec(b_cm=0.2034, temperature_k=temperature, weight_even=weights[0],
                        weight_odd=weights[1])
     basis = RotorBasis(j_max)
-    cache: dict = {}  # one cache across delays, second kicks and windows
+    cache: dict = {"first": None}
     for dtau_frac in dtau_fracs:
+        dtau = dtau_frac * revival_period(mol)
+        node = []
         for p2, window in evaluations:
-            dtau = dtau_frac * revival_period(mol)
             cfg = two_pulse_config(mol, p1, p2, dtau, j_max=j_max, solver=SolverOptions(truncation_tol=1.0))
             times = _sample_times(cfg)
             if window:
                 times = times[np.abs(times - 2.0 * dtau) <= 0.03 * revival_period(mol)]
-            grouped = _impulsive_values(cfg, basis, cache, times)
+            (grouped,) = _impulsive_values([cfg], basis, cache, times)
             assert np.array_equal(grouped, _per_half_values(cfg, basis, times))
+            node.append(cfg)
+        times = _sample_times(node[0])
+        scan_cache: dict = {}
+        node_values = _impulsive_values(node, basis, scan_cache, times)
+        for cfg, values in zip(node, node_values, strict=True):
+            assert np.array_equal(values, _per_half_values(cfg, basis, times))
+        assert scan_cache.keys() == {"thermal"}
 
 
 def _owned_bytes(obj) -> int:
@@ -199,7 +210,7 @@ def test_kernel_groups_view_the_basis_eigensystems(ocs):
     basis = RotorBasis(120)
     cfg = two_pulse_config(ocs, 1.0, 4.0, 0.125 * revival_period(ocs), j_max=120)
     cache: dict = {}
-    _impulsive_values(cfg, basis, cache, _sample_times(cfg)[-64:])
+    _impulsive_values([cfg], basis, cache, _sample_times(cfg)[-64:])
     groups = cache["thermal"][0]
     assert len(groups) == 61
     stacks = {id(v): (lam, v) for _, lam, v, _ in basis._parity_halves()}.values()
@@ -223,7 +234,7 @@ def test_runs_cut_by_populated_count_keep_the_bits_of_the_per_half_loop(molecule
     basis = RotorBasis(j_max)
     cfg = two_pulse_config(molecule, 1.0, 4.0, 0.125 * revival_period(molecule), j_max=j_max)
     times, cache = _sample_times(cfg), {}
-    assert np.array_equal(_impulsive_values(cfg, basis, cache, times),
+    assert np.array_equal(_impulsive_values([cfg], basis, cache, times)[0],
                           _per_half_values(cfg, basis, times))
     run_length = Counter(v.shape[1] for _, _, v, _ in basis._parity_halves())
     assert any(v.shape[0] < run_length[v.shape[1]] for *_, v in cache["thermal"][0])

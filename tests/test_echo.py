@@ -29,6 +29,7 @@ from rotecho import (
     find_optimal_p2,
     fit_decay,
     fit_sin2,
+    intensity_quadrature,
     master_curve_check,
     revival_period,
     run_isolated_echo,
@@ -184,26 +185,30 @@ def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
 
 
 def test_scan_places_each_window_once(monkeypatch):
-    windows, shells = [], []
-    window, trace_values = echo._window, echo._trace_values
+    # one placement per point; the kernel gets each shell's points as one
+    # node, so it sees every (shell, point) pair once
+    windows, nodes = [], []
+    window, impulsive_values = echo._window, echo._impulsive_values
 
     def placing(*args):
         windows.append(args[3])
         return window(*args)
 
-    def counting(config, *rest):
-        shells.append(config.pulses[1].kick)
-        return trace_values(config, *rest)
+    def counting(configs, *rest):
+        nodes.append([config.pulses[1].kick for config in configs])
+        return impulsive_values(configs, *rest)
 
     monkeypatch.setattr(echo, "_window", placing)
-    monkeypatch.setattr(echo, "_trace_values", counting)
+    monkeypatch.setattr(echo, "_impulsive_values", counting)
     dtau = 0.125 * TREV
     grid = [0.3, 0.6, 0.9, 1.2]
     base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
-    curve = averaged_scan_p2(grid, 0.5, dtau, BeamGeometry(30.0, 15.0, 3), base)
+    geom = BeamGeometry(30.0, 15.0, 3)
+    curve = averaged_scan_p2(grid, 0.5, dtau, geom, base)
     assert len(curve) == 4
     assert windows == [dtau] * 4
-    assert len(shells) == 3 * 4
+    assert nodes == [[f * p2 for p2 in grid] for f, _ in intensity_quadrature(geom)]
+    assert sum(map(len, nodes)) == 3 * 4
 
 
 @pytest.mark.parametrize("shape", ["impulsive", "gaussian"])

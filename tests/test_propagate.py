@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,8 @@ from rotecho import (
 )
 from rotecho.basis import MBlockDensityMatrix
 from rotecho.errors import ToleranceError, TruncationError
-from rotecho.propagate import HERM_TOL, _check_drift, _piecewise, with_substeps
+from rotecho import propagate
+from rotecho.propagate import HERM_TOL, _check_drift, _free_values, _piecewise, with_substeps
 
 COLD = MoleculeSpec(b_cm=0.2034, temperature_k=30.0, name="OCS-cold")
 
@@ -163,6 +165,56 @@ def test_guards_of_a_gaussian_sequence(monkeypatch, j_max, patches, error, messa
     with pytest.raises(error) as exc:
         run_pulse_sequence(cfg)
     assert re.fullmatch(message, str(exc.value))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 255, 256, 257, 511, 512, 513, 767, 769, 2049, 20481])
+@pytest.mark.parametrize("n_freqs", [1, 39, 119])
+def test_chunked_free_trace_keeps_the_bits_of_the_whole_table(rows, n_freqs):
+    # lengths on both sides of each chunk edge, so that a trailing chunk of
+    # one row, which BLAS sums as a dot product, would show
+    rng = np.random.default_rng(rows + n_freqs)
+    amp = rng.normal(size=n_freqs) + 1j * rng.normal(size=n_freqs)
+    freqs, t_rel = rng.uniform(0.0, 50.0, n_freqs), rng.uniform(0.0, 300.0, rows)
+    whole = 0.3 + 2.0 * (np.exp(1j * np.outer(t_rel, freqs)) @ amp).real
+    assert np.array_equal(_free_values((0.3, amp, freqs), t_rel), whole)
+
+
+# A 10-revival impulsive two-pulse run at j_max = 120, 296 K, on a basis
+# whose eigensystems are built, peaks at 18.5 MiB of traced allocations,
+# mostly the dense states, with the free trace summed 256 to 511 offsets
+# at a time.  Summed over all 20 481 offsets at once, its (offsets x
+# frequencies) argument table and exp held 83.1 MiB.  The bound sits between.
+LONG_RUN_PEAK_MIB = 40.0
+
+
+def test_a_long_trace_stays_under_its_traced_peak(ocs, trev):
+    basis = RotorBasis(120)
+    basis._parity_halves()
+    cfg = two_pulse_config(ocs, 1.0, 0.5, 0.125 * trev, j_max=120, t_end=10.0 * trev)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_two_pulse(cfg, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < LONG_RUN_PEAK_MIB * 2**20, peak / 2**20
+
+
+def test_the_dense_path_starts_at_the_first_kick(monkeypatch):
+    # a thermal state flown to a first kick after t = 0 would change only
+    # round-off, so the one flight is the one between the kicks
+    flights = []
+
+    def spy(rho, dt):
+        flights.append(dt)
+        return free_evolve(rho, dt)
+
+    monkeypatch.setattr(propagate, "free_evolve", spy)
+    pulses = (PulseSpec(0.5, 1.0, shape="impulsive"), PulseSpec(1.5, 0.5, shape="impulsive"))
+    run_pulse_sequence(ExperimentConfig(COLD, pulses, t_end=2.5, dt_sample=0.05, j_max=60))
+    assert flights == [1.0]
 
 
 def test_two_pulse_config_wiring(ocs, trev):
