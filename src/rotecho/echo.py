@@ -19,9 +19,10 @@ measured as ``extract_secho(run_two_pulse(cfg), dtau)``.
 trace it is handed.  One evaluator serves every scan and the optimum
 search: a point's window is placed once, before any node runs, and the
 nodes' window samples are summed in fixed node order and measured once.
-Scans run node-major, so an averaged scan builds each shell's first
-pulse once.  Impulsive points of the search, averaged scans and
-``run_isolated_echo`` take propagate's amplitude kernel.  The plain scans
+Scans run node-major, so an averaged scan builds each shell's first pulse
+once; a pooled scan forks workers that pipe their points to an idle parent.
+Impulsive points of the search, averaged scans and ``run_isolated_echo``
+take propagate's amplitude kernel.  The plain scans
 and gaussian configs take ``run_pulse_sequence``: the thermal columns
 for a gaussian sequence, the reference density matrix for an impulsive one.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -386,17 +388,10 @@ def _node_task(job: tuple, basis: RotorBasis, cache: dict) -> list:
     return [p if isinstance(p, str) else values.pop(0) for p in points]
 
 
-# A pool worker's basis and cache, set up when the scan's pool starts and
-# gone with it.  The kernel caches its thermal groups under no key, so the
-# cache must never outlive one scan.
-_worker: tuple[RotorBasis, dict] | None = None
-
-
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    where numpy ships without that library.  Cached, so workers forked after
-    a first call look up no symbol of the library again."""
+    where numpy ships without that library; looked up once per process."""
     import ctypes
 
     libs = os.path.join(np.__path__[0], os.pardir, "numpy.libs")
@@ -412,19 +407,50 @@ def _openblas_threads():
     return get, set_threads
 
 
-def _init_worker(basis: RotorBasis, workers: int) -> None:
-    """Set up a pool worker: the parent's basis, an empty cache, and no more
-    BLAS threads than its share of the cores (never more than it had)."""
-    global _worker
-    blas = _openblas_threads()
-    if blas is not None:
-        get, set_threads = blas
-        set_threads(min(get(), max(1, (os.cpu_count() or 1) // workers)))
-    _worker = (basis, {})
+def _forked_child(jobs: list, basis: RotorBasis, workers: int, sink, inherited: list) -> None:
+    """A forked scan worker: pipes back its jobs' results, or their exception, then os._exit."""
+    try:
+        for pipe in inherited:
+            pipe.close()  # so that a parent which stops reading breaks every pipe
+        try:
+            if blas := _openblas_threads():  # its share of the cores, never more than it had
+                blas[1](min(blas[0](), max(1, (os.cpu_count() or 1) // workers)))
+            cache: dict = {}  # the kernel caches its groups under no key: one scan's only
+            data = pickle.dumps([_node_task(job, basis, cache) for job in jobs])
+        except BaseException as exc:
+            try:
+                data = pickle.dumps(exc)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"a scan worker raised {exc!r}, which does not pickle"))
+        sink.write(data)
+        sink.flush()
+    finally:
+        os._exit(0)  # flushing none of the buffers it shares with the parent
 
 
-def _worker_task(job: tuple) -> list:
-    return _node_task(job, *_worker)
+def _forked_map(jobs: list, basis: RotorBasis, workers: int) -> list:
+    """Each job's ``_node_task`` result, in job order, from ``workers`` forked
+    children, child k running jobs k, k + workers, ...  The parent runs no job;
+    it reads every pipe and reaps every child before it returns or raises."""
+    pipes, pids = [], []
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                if (pid := os.fork()) == 0:
+                    _forked_child(jobs[k::workers], basis, workers, sink, pipes)
+                pids.append(pid)
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()  # a child still writing gets a broken pipe and ends
+        ended = [os.waitpid(pid, 0)[1] for pid in pids]
+    outs = [pickle.loads(data) if data else RuntimeError(f"scan worker {k} sent nothing ({status=})")
+            for k, (data, status) in enumerate(zip(sent, ended))]
+    if failed := [out for out in outs if isinstance(out, BaseException)]:
+        raise failed[0]
+    return [outs[i % workers][i // workers] for i in range(len(jobs))]
 
 
 def _scan_jmax(base: ExperimentConfig, points) -> int:
@@ -441,16 +467,16 @@ def _run_scan(
     workers: int,
     basis: RotorBasis | None,
 ) -> tuple[list[EchoMeasurement], list[tuple[float, str]]]:
-    """Scan driver over (axis value, p1, p2, dtau) tasks, serial or pooled.
+    """Scan driver over (axis value, p1, p2, dtau) tasks, serial or forked.
 
-    A job is one node's points, each its kick-scaled config and window mask
-    or its placement message; the kernel kicks them together, group by group,
-    so no scan keeps a first-pulse entry.  A pool gets whole nodes if there
-    are at least as many nodes as workers, else single points, and no more
-    workers than jobs.  Points and failures come back in task order, a failure
-    with its axis value and its first failing node's message.  Each window is
-    placed once, before any node runs: a point whose window cannot fit runs
-    no node.  The basis is built once, here, only if a node runs."""
+    A job is a run of contiguous points of one node, each its kick-scaled
+    config and window mask or its placement message, kicked together by the
+    kernel: ceil(workers / nodes) runs per node, so whole nodes if nodes >=
+    workers.  No more workers fork than there are jobs; the parent runs none.
+    Points and failures come back in task order, a failure with its axis
+    value and its first failing node's message.  A window is placed once,
+    before any node runs, and one that cannot fit runs no node.  The basis
+    is built once, here, only if a node runs."""
     # Plain scans stay on the density-matrix reference path, whose exact
     # call counts bench/test_bench.py pins; averaged scans take the kernel.
     kernel = nodes is not _PLAIN_NODES
@@ -462,7 +488,7 @@ def _run_scan(
             windows.append(_window(base, p1, p2, d, halfwidth))
         except WindowError as exc:
             windows.append(str(exc))
-    chunk = len(tasks) if len(nodes) >= workers else 1
+    chunk = math.ceil(len(tasks) / math.ceil(workers / len(nodes)))
     jobs = [([w if isinstance(w, str) else (_point_config(base, f * p1, f * p2, d), w[2])
               for (_, p1, p2, d), w in zip(tasks[i : i + chunk], windows[i : i + chunk])], kernel)
             for f, _ in nodes for i in range(0, len(tasks), chunk)]
@@ -471,14 +497,8 @@ def _run_scan(
     if any(isinstance(w, tuple) for w in windows):
         basis = basis if basis is not None else RotorBasis(j_max)
         if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            _openblas_threads()  # looked up, and the eigensystems built,
-            basis._parity_halves()  # before the workers fork
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(basis, workers)
-            ) as pool:
-                results = list(pool.map(_worker_task, jobs))
+            basis._parity_halves()  # the eigensystems, built before the workers fork
+            results = _forked_map(jobs, basis, workers)
         else:
             cache: dict = {}
             results = [_node_task(job, basis, cache) for job in jobs]

@@ -1174,6 +1174,26 @@ def test_simulate_and_opt_load_no_scipy(tmp_path):
     assert not hashlib_loaded
 
 
+def test_a_pooled_scan_forks_without_a_process_pool(tmp_path):
+    # the scan forks its own workers, so a pooled averaged scan loads neither
+    # concurrent.futures nor multiprocessing (about 2 MB resident); and the
+    # workers leave by os._exit, so the first call's line, still in the piped
+    # stdout's buffer when the second call forks, is printed once
+    avg = write_cfg(tmp_path, COLD_SCAN_AVERAGED, name="avg.cfg")
+    outs = [tmp_path / "first", tmp_path / "second"]
+    script = "import json, sys\nfrom rotecho import cli\n" + "".join(
+        f"assert cli.main({['scan', '--config', avg, '--threads', '2', '--out-dir', str(out)]!r}) == 0\n"
+        for out in outs
+    ) + ("print(json.dumps(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n")
+    got = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_CHILD_ENV,
+    )
+    *wrote, modules = got.stdout.splitlines()
+    assert [line.partition(": ")[0] for line in wrote] == [f"wrote {out / 'scan_p2.csv'}" for out in outs]
+    assert json.loads(modules) == []
+
+
 @pytest.mark.parametrize("size", [0, 55, 56, 64, 65, 1000])
 def test_config_digest_is_the_sha256_of_the_file_bytes(tmp_path, size):
     # sha256 pads 55 bytes into one 64-byte block and 56 into two; 64 and 65
@@ -1198,6 +1218,8 @@ def test_the_package_imports_no_scipy():
     ]
     assert ("echo.py", "numpy") in imported
     assert [(f, n) for f, n in imported if n.split(".")[0] == "scipy"] == []
+    # nor a process pool: scans fork their own workers
+    assert [(f, n) for f, n in imported if n.split(".")[0] in ("concurrent", "multiprocessing")] == []
     tomllib = pytest.importorskip("tomllib")
     with open(_PYPROJECT, "rb") as fh:
         dependencies = tomllib.load(fh)["project"]["dependencies"]

@@ -1,6 +1,5 @@
 """Echo layer: extraction, delay grids, scans, fits, master curve."""
 
-import concurrent.futures
 import math
 import os
 from dataclasses import replace
@@ -161,13 +160,13 @@ def test_scan_captures_window_failures():
 def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
     # 0.08*T_rev reaches past the trace's 0.06*T_rev tail, and at T/8 the
     # guard clips nothing; with nothing to run, no basis is built and no
-    # pool starts (forked pool workers would inherit the patched evaluator)
+    # worker is forked (forked workers would inherit the patched evaluator)
     def no_shell(*args, **kwargs):
-        raise AssertionError("a shell, basis or pool was set up for no placeable window")
+        raise AssertionError("a shell, basis or worker was set up for no placeable window")
 
     for name in ("_trace_values", "RotorBasis"):
         monkeypatch.setattr(echo, name, no_shell)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_shell)
+    monkeypatch.setattr(os, "fork", no_shell)
     dtau, w = 0.125 * TREV, 0.08 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
     grid = [0.4, 0.8, 1.2]
@@ -272,24 +271,79 @@ def test_pooled_plain_scans_equal_serial_ones(j_max, p1, frac, p2_grid, frac_gri
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # a pool forks all its workers at the first submit, each a full process
-    started = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    # each forked worker is a full process; count the forks of each scan
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
     dtau = 0.125 * TREV
     base = two_pulse_config(COLD, 0.5, 1.0, dtau)
-    # one node, two single-value chunks
-    scan_p2([0.3, 0.6], 0.5, dtau, base, attach_fit=False, workers=8)
-    # three nodes against two workers: each node is one chunk
-    averaged_scan_p2([0.3, 0.6, 0.9, 1.0], 0.5, dtau, BeamGeometry(30.0, 15.0, 3), base, workers=2)
-    # one node at one point: a single chunk runs serially
-    averaged_scan_p2([0.3], 0.5, dtau, BeamGeometry(30.0, 15.0, 1), base, workers=3)
-    assert started == [2, 2]
+    started = []
+    for scan in (
+        # one node, two single-value chunks
+        lambda: scan_p2([0.3, 0.6], 0.5, dtau, base, attach_fit=False, workers=8),
+        # three nodes against two workers: each node is one chunk
+        lambda: averaged_scan_p2([0.3, 0.6, 0.9, 1.0], 0.5, dtau, BeamGeometry(30.0, 15.0, 3),
+                                 base, workers=2),
+        # one node at one point: a single chunk runs serially
+        lambda: averaged_scan_p2([0.3], 0.5, dtau, BeamGeometry(30.0, 15.0, 1), base, workers=3),
+    ):
+        before = len(forks)
+        scan()
+        started.append(len(forks) - before)
+    assert started == [2, 2, 0]
+
+
+def test_a_pool_gets_runs_of_contiguous_points_of_one_node(monkeypatch):
+    # with fewer nodes than workers, each node splits into ceil(workers /
+    # nodes) runs of contiguous points, so each run builds its shell's first
+    # pulse once; the parent only forks, reads and reaps (forked workers
+    # inherit the patched evaluator, which refuses only the parent)
+    dtau = 0.125 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    cases = []
+    for shells, count, workers, run in ((1, 6, 2, 3), (2, 5, 3, 3)):
+        geom, grid = BeamGeometry(30.0, 15.0, shells), list(np.linspace(0.3, 1.8, count))
+        serial = averaged_scan_p2(grid, 0.5, dtau, geom, base)
+        cases.append((geom, grid, workers, run, serial))
+    handed, forked_map, node_task, parent = [], echo._forked_map, echo._node_task, os.getpid()
+
+    def spying(jobs, basis, workers):
+        handed.append([[config.pulses[1].kick for config, _ in points] for points, _ in jobs])
+        return forked_map(jobs, basis, workers)
+
+    def children_only(*args):
+        assert os.getpid() != parent, "the parent ran a job"
+        return node_task(*args)
+
+    monkeypatch.setattr(echo, "_forked_map", spying)
+    monkeypatch.setattr(echo, "_node_task", children_only)
+    for geom, grid, workers, run, serial in cases:
+        pooled = averaged_scan_p2(grid, 0.5, dtau, geom, base, workers=workers)
+        assert handed.pop() == [[f * p2 for p2 in grid[i : i + run]]
+                                for f, _ in intensity_quadrature(geom) for i in range(0, len(grid), run)]
+        assert pooled.points == serial.points and pooled.failures == serial.failures
+        with pytest.raises(ChildProcessError):  # every worker reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (ValueError("no node today"), ValueError, "^no node today$"),
+    # a lambda does not pickle, so neither does an exception holding one
+    (ValueError(lambda: None), RuntimeError, r"raised ValueError\(<function .*\), which does not pickle"),
+])
+def test_a_failure_in_every_worker_reaches_the_caller(monkeypatch, error, raised, message):
+    # forked workers inherit the patched node task; the parent raises what a
+    # worker sent, or a RuntimeError naming what did not pickle, only after it
+    # has reaped every worker
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(echo, "_node_task", failing)
+    dtau = 0.125 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    with pytest.raises(raised, match=message):
+        averaged_scan_p2([0.4, 0.8, 1.2], 0.5, dtau, BeamGeometry(30.0, 15.0, 2), base, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _check_scans_keep_molecules_apart(scan):

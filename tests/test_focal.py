@@ -320,18 +320,21 @@ import os
 from rotecho import (
     BeamGeometry, RotorBasis, averaged_scan_p2, molecule_preset, revival_period, two_pulse_config,
 )
-from rotecho.echo import _init_worker, _openblas_threads
+from rotecho import echo
 ocs = molecule_preset("OCS")
 dtau = revival_period(ocs) / 8.0
 base = two_pulse_config(ocs, 1.0, 3.0, dtau, j_max=100)
 geom = BeamGeometry(30.0, 15.0, n_shells=2)
 serial = averaged_scan_p2([2.0, 3.0], 1.0, dtau, geom, base, workers=1)
 assert averaged_scan_p2([2.0, 3.0], 1.0, dtau, geom, base, workers=2) == serial
-blas = _openblas_threads()
+blas = echo._openblas_threads()
 if blas is not None:
+    # each forked worker reports its own thread count; the parent keeps its own
     before = blas[0]()
-    _init_worker(RotorBasis(2), 2)
-    assert blas[0]() == min(before, max(1, os.cpu_count() // 2))
+    echo._node_task = lambda job, basis, cache: blas[0]()
+    capped = min(before, max(1, os.cpu_count() // 2))
+    assert echo._forked_map([None, None], RotorBasis(2), 2) == [capped, capped]
+    assert blas[0]() == before
 """
 
 
