@@ -21,10 +21,10 @@ search: a point's window is placed once, before any node runs, and the
 nodes' window samples are summed in fixed node order and measured once.
 Scans run node-major, so an averaged scan builds each shell's first pulse
 once; a pooled scan forks workers that pipe their points to an idle parent.
-Impulsive points of the search, averaged scans and ``run_isolated_echo``
-take propagate's amplitude kernel.  The plain scans
-and gaussian configs take ``run_pulse_sequence``: the thermal columns
-for a gaussian sequence, the reference density matrix for an impulsive one.
+Its first step, ``_node_task``, also traces ``run_isolated_echo`` and alone
+picks the engine: propagate's amplitude kernel for impulsive points of the
+search, averaged scans and ``run_isolated_echo``; ``run_pulse_sequence`` for
+plain scans (the density matrix) and gaussian configs (the thermal columns).
 
 Delay grids need two guards, both exposed as module constants: the
 window must not reach back into the second pulse's prompt response, and
@@ -282,29 +282,13 @@ def extract_secho(
     )
 
 
-def _trace_values(
-    config: ExperimentConfig, basis: RotorBasis, first_pulse_cache: dict,
-    select: np.ndarray | slice = slice(None), kernel: bool = True,
-) -> np.ndarray:
-    """Isolated trace of a two-pulse config on the ``select`` part of its
-    grid.  With kernel, impulsive configs take the amplitude kernel,
-    which evaluates only those samples; others run run_pulse_sequence
-    and cache the first-pulse-only trace by its config, shared by a p2 scan."""
-    if kernel and all(p.shape == "impulsive" for p in config.pulses):
-        times = _sample_times(config)[select]
-        (values,) = _impulsive_values([config], basis, first_pulse_cache, times)
-        if isinstance(values, ToleranceError):
-            raise values
-        return values
-    values = run_two_pulse(config, basis=basis).values
-    first = replace(config, pulses=config.pulses[:1])
-    v1 = first_pulse_cache.get(first)
-    if v1 is None:
-        v1 = first_pulse_cache[first] = run_pulse_sequence(first, basis=basis).values
-    v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
-    # traces store alignment minus 1/3, so the cross term is a plain
-    # difference and sits on the same zero baseline as any other trace
-    return (values - v1 - v2)[select]
+def _trace_values(config: ExperimentConfig, basis: RotorBasis, cache: dict, select=slice(None)) -> np.ndarray:
+    """Isolated trace of a two-pulse config on the ``select`` part of its grid:
+    its one-point node run through ``_node_task`` with kernel; a tolerance problem raises."""
+    (values,) = _node_task(([(config, select)], True), basis, cache)
+    if isinstance(values, ToleranceError):
+        raise values
+    return values
 
 
 def run_isolated_echo(config: ExperimentConfig) -> AlignmentTrace:
@@ -368,10 +352,12 @@ def _echo_point(dtau: float, window: tuple, nodes, node_values) -> EchoMeasureme
 
 
 def _node_task(job: tuple, basis: RotorBasis, cache: dict) -> list:
-    """The evaluator's first step: one node's window samples at each of its
-    points, which share its first pulse and window (kicked together, with
-    kernel, if impulsive).  A placement failure's message passes through; a
-    tolerance problem fails its point, or every point if in the first pulse."""
+    """The evaluator's first step and its one engine choice: one node's window
+    samples at each of its points, which share its first pulse and window.  With
+    kernel, impulsive points are kicked together by the amplitude kernel; others
+    run run_pulse_sequence, caching the first-pulse-only trace by its config for
+    a p2 scan.  A placement failure's message passes through; a tolerance
+    problem fails its point, or every kernel point if in the first pulse."""
     points, kernel = job
     placed, values = [p for p in points if not isinstance(p, str)], []
     if placed and kernel and all(p.shape == "impulsive" for p in placed[0][0].pulses):
@@ -382,7 +368,13 @@ def _node_task(job: tuple, basis: RotorBasis, cache: dict) -> list:
             values = [exc] * len(placed)
     for config, select in placed[len(values) :]:  # the points the kernel did not take
         try:
-            values.append(_trace_values(config, basis, cache, select, kernel))
+            two = run_two_pulse(config, basis=basis).values
+            first = replace(config, pulses=config.pulses[:1])
+            if (v1 := cache.get(first)) is None:
+                v1 = cache[first] = run_pulse_sequence(first, basis=basis).values
+            v2 = run_pulse_sequence(replace(config, pulses=config.pulses[1:]), basis=basis).values
+            # traces store alignment minus 1/3, so the cross term is a plain difference on a zero baseline
+            values.append((two - v1 - v2)[select])
         except ToleranceError as exc:
             values.append(exc)
     return [p if isinstance(p, str) else values.pop(0) for p in points]

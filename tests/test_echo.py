@@ -164,7 +164,7 @@ def test_unplaceable_window_runs_no_shell(monkeypatch, workers):
     def no_shell(*args, **kwargs):
         raise AssertionError("a shell, basis or worker was set up for no placeable window")
 
-    for name in ("_trace_values", "RotorBasis"):
+    for name in ("_node_task", "RotorBasis"):
         monkeypatch.setattr(echo, name, no_shell)
     monkeypatch.setattr(os, "fork", no_shell)
     dtau, w = 0.125 * TREV, 0.08 * TREV
@@ -645,9 +645,11 @@ def test_find_optimal_p2_agrees_with_dense_scan(monkeypatch):
 
 def test_find_optimal_p2_measures_the_coarse_grid_only_up_to_the_bracket(monkeypatch):
     # every p2 is measured once, and the coarse points are the grid's prefix
-    # that ends at the first point closing an interior maximum of |s|
-    measured, evaluations = [], []
-    trace_values, echo_point = echo._trace_values, echo._echo_point
+    # that ends at the first point closing an interior maximum of |s|; each
+    # evaluation, like run_isolated_echo, is one one-point kernel node of the
+    # scans' evaluator
+    measured, evaluations, jobs = [], [], []
+    trace_values, echo_point, node_task = echo._trace_values, echo._echo_point, echo._node_task
 
     def counting(config, *rest):
         evaluations.append(config.pulses[1].kick)
@@ -658,12 +660,23 @@ def test_find_optimal_p2_measures_the_coarse_grid_only_up_to_the_bracket(monkeyp
         measured.append((point.p2_kick, abs(point.s_echo)))
         return point
 
+    def spying(job, *rest):
+        jobs.append(job)
+        return node_task(job, *rest)
+
     monkeypatch.setattr(echo, "_trace_values", counting)
     monkeypatch.setattr(echo, "_echo_point", recording)
+    monkeypatch.setattr(echo, "_node_task", spying)
     dtau = 0.125 * TREV
     find_optimal_p2(dtau, 0.5, two_pulse_config(COLD, 0.5, 1.0, dtau), SearchParams(p2_max=8.0))
     p2s = [p2 for p2, _ in measured]
     assert evaluations == p2s
+    assert [(len(points), kernel) for points, kernel in jobs] == [(1, True)] * len(evaluations)
+    assert [points[0][0].pulses[1].kick for points, _ in jobs] == evaluations
+    jobs.clear()
+    config = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    run_isolated_echo(config)
+    assert jobs == [([(config, slice(None))], True)]
     assert len(set(p2s)) == len(p2s)
     grid = list(np.linspace(8.0 / echo.COARSE_POINTS, 8.0, echo.COARSE_POINTS))
     k = next(i for i, p2 in enumerate(p2s) if p2 not in grid) - 2

@@ -29,7 +29,7 @@ from rotecho import (
     scan_p2,
     two_pulse_config,
 )
-from rotecho import propagate
+from rotecho import echo, propagate
 from rotecho.echo import _point_config, _trace_values
 from rotecho.focal import _gauss_jacobi_unit
 from rotecho.propagate import AlignmentTrace, _sample_times
@@ -269,6 +269,30 @@ def test_a_drift_failure_in_one_kick_fails_only_its_point(monkeypatch, workers):
     curve = averaged_scan_p2(grid, 0.3, DTAU, geom, base, workers=workers)
     assert curve.points == (whole.points[0], whole.points[2])
     assert curve.failures == ((0.8, "probe drift"),)
+
+
+def test_a_first_pulse_drift_failure_fails_every_point_of_its_node(monkeypatch):
+    # the kernel takes every point of a node: none reaches the sequence
+    # engine, not even when the node's first-pulse reduce fails, which fails them all
+    def sequence_engine(*args, **kwargs):
+        raise AssertionError("a kernel point ran the sequence engine")
+
+    spectra = propagate._spectra
+
+    def failing_first_pulse(layout, parts, n_states):
+        if n_states == 1:
+            raise ToleranceError("probe drift")
+        return spectra(layout, parts, n_states)
+
+    monkeypatch.setattr(echo, "run_two_pulse", sequence_engine)
+    monkeypatch.setattr(echo, "run_pulse_sequence", sequence_engine)
+    grid, geom = [0.4, 0.8, 1.2], BeamGeometry(30.0, 15.0, n_shells=2)
+    base = two_pulse_config(COLD, 0.3, 1.2, DTAU, j_max=24)
+    assert len(averaged_scan_p2(grid, 0.3, DTAU, geom, base)) == 3
+    monkeypatch.setattr(propagate, "_spectra", failing_first_pulse)
+    curve = averaged_scan_p2(grid, 0.3, DTAU, geom, base)
+    assert curve.points == ()
+    assert curve.failures == tuple((p2, "probe drift") for p2 in grid)
 
 
 # A serial 6-point averaged scan over 2 shells at j_max = 120, 296 K, on a

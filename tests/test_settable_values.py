@@ -21,7 +21,7 @@ MODULES = ("basis", "propagate", "echo", "focal", "pathways", "config", "runio",
 MAX_SETTABLE = 46
 MAX_CONFIG_KEYS = 29
 MAX_CLI_OPTIONS = 14
-MAX_SRC_LINES = 3328
+MAX_SRC_LINES = 3320
 
 
 def defaulted(function, owner):
