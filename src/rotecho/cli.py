@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config, runio
+from . import config, runio
 from .echo import (
     SearchParams,
     _scan_jmax,
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Alignment echoes in thermal ensembles of linear rotors.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"rotecho {__version__}"
+        "--version", action="version", version=runio.ENGINE
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -135,7 +135,7 @@ def _load(args: argparse.Namespace):
     return settings, runio.config_digest(args.config), settings.experiment()
 
 
-def _finish(args, timings, digest, molecule, parameters, writers, notes=None) -> Path:
+def _finish(args, timings, digest, molecule, parameters, writers, notes=()) -> Path:
     """Write a verb's data files and its manifest into --out-dir, and return it.
 
     ``writers`` maps each data file's name to a (runio writer, data) pair;
@@ -149,16 +149,16 @@ def _finish(args, timings, digest, molecule, parameters, writers, notes=None) ->
     for name, (write, data) in writers.items():
         write(out / name, data, meta)
     timings["write"] = time.perf_counter() - t0
-    runio.write_manifest(
-        out / "manifest.json",
+    runio.write_manifest(out / "manifest.json", runio.RunManifest(
         command=meta["command"],
         parameters=parameters,
         config_sha256=digest,
         molecule="n/a" if molecule is None else molecule.name or "custom",
-        outputs=list(writers),
-        timings=timings,
-        notes=notes,
-    )
+        outputs=tuple(writers),
+        timings_s=timings,
+        notes=tuple(notes),
+        engine=runio.ENGINE,
+    ))
     return out
 
 

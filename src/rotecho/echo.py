@@ -438,8 +438,8 @@ def _forked_map(jobs: list, basis: RotorBasis, workers: int) -> list:
         for pipe in pipes:
             pipe.close()  # a child still writing gets a broken pipe and ends
         ended = [os.waitpid(pid, 0)[1] for pid in pids]
-    outs = [pickle.loads(data) if data else RuntimeError(f"scan worker {k} sent nothing ({status=})")
-            for k, (data, status) in enumerate(zip(sent, ended))]
+    outs = [RuntimeError(f"scan worker {k} ended without a result ({status=})") if status or not data
+            else pickle.loads(data) for k, (data, status) in enumerate(zip(sent, ended))]
     if failed := [out for out in outs if isinstance(out, BaseException)]:
         raise failed[0]
     return [outs[i % workers][i // workers] for i in range(len(jobs))]

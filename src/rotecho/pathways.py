@@ -79,13 +79,12 @@ class Pathway:
 
     ``intermediate`` is the element occupied between the pulses; it is
     the only part of the sequence that accumulates delay-dependent
-    phase, so it is what interference arguments care about.
+    phase, so it is what interference arguments care about.  It and
+    ``final`` are replayed from the steps.
     """
 
     start: int
     steps: tuple[RamanStep, ...]
-    intermediate: tuple[int, int]
-    final: tuple[int, int]
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -93,13 +92,16 @@ class Pathway:
         pulses = tuple(s.pulse for s in self.steps)
         if pulses != (1, 2, 2):
             raise ValueError("budget is one first-pulse step then two second-pulse steps")
-        visited = _replay(self.start, self.steps)
-        if visited[1] != tuple(self.intermediate):
-            raise ValueError("intermediate does not match the replayed first step")
-        if visited[-1] != tuple(self.final):
-            raise ValueError("final does not match the replayed steps")
-        if any(j < 0 for pair in visited for j in pair):
+        if any(j < 0 for pair in _replay(self.start, self.steps) for j in pair):
             raise ValueError("steps pass through negative J")
+
+    @property
+    def intermediate(self) -> tuple[int, int]:
+        return _replay(self.start, self.steps)[1]
+
+    @property
+    def final(self) -> tuple[int, int]:
+        return _replay(self.start, self.steps)[-1]
 
     def label(self) -> str:
         return "; ".join(s.label() for s in self.steps)
@@ -159,14 +161,7 @@ def enumerate_pathways(
             for second, step2 in moves(mid, 2):
                 for last, step3 in moves(second, 2):
                     if last == tgt:
-                        found.append(
-                            Pathway(
-                                start=j0,
-                                steps=(step1, step2, step3),
-                                intermediate=mid,
-                                final=last,
-                            )
-                        )
+                        found.append(Pathway(start=j0, steps=(step1, step2, step3)))
     return found
 
 
@@ -203,7 +198,7 @@ def pathway_phase_difference(
     8 * B_ang * dtau independent of J, which crosses pi at one eighth of
     a revival and 2*pi at a quarter.
     """
-    if tuple(path_a.final) != tuple(path_b.final):
+    if path_a.final != path_b.final:
         raise ValueError("pathways do not share a target coherence")
     phi_a, phi_b = (_phase(p.intermediate, dtau, molecule) for p in (path_a, path_b))
     return abs(phi_a - phi_b)

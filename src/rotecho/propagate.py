@@ -610,20 +610,21 @@ def _impulsive_values(configs: list, basis: RotorBasis, cache: dict, times: np.n
     one product V @ (exp(i*kick*lambda) * [X | V^T W]) and its shares of the
     two-pulse and second-pulse-only spectra; X is dropped and each config
     reduced once.  cache keeps the thermal groups.  Only a cache holding the
-    key "first", the optimum search's, keeps the first-pulse entry: the
-    post-kick-1 spectrum, every X and the pieces of the last window it
-    served (the first-pulse-only trace from t_b on, exp(i*outer(t - t_b, freqs)))."""
+    key "first", the optimum search's, keeps the first-pulse entry, under its
+    first kick, pulse times and sample times: every X and the window pieces
+    (the first-pulse-only trace from t_b on, exp(i*outer(t - t_b, freqs)))."""
     (t_a, k1), (t_b, _) = ((p.t0, p.kick) for p in configs[0].pulses)
     dtau, mol = t_b - t_a, configs[0].molecule
     if "thermal" not in cache:
         p = _thermal_populations(mol, basis.j_max, configs[0].solver.truncation_tol)
         cache["thermal"] = _column_groups(basis, mol, np.sqrt(p))
     (groups, layout), keep, entry = cache["thermal"], "first" in cache, cache.get("first")
-    fresh = entry is None or entry[0] != (k1, dtau)
+    key = (k1, t_a, t_b, times.tobytes())
+    fresh = entry is None or entry[0] != key
     if fresh:
         cache.pop("first", None)  # free the old entry before building the new one
-        entry, first, flight = (None, None, [], None), [], np.exp(-1j * dtau * basis.omegas(mol))
-    xs, shares = entry[2], [[] for _ in configs]
+        entry, first, flight = (key, []), [], np.exp(-1j * dtau * basis.omegas(mol))
+    xs, shares = entry[1], [[] for _ in configs]
     for i, group in enumerate(groups):  # one group's X alive at a time, unless kept
         *_, js, w, lam, v = group
         x_vt_w, c = np.empty((*lam.shape, 2 * w.shape[1]), dtype=complex), w.shape[1]
@@ -638,15 +639,13 @@ def _impulsive_values(configs: list, basis: RotorBasis, cache: dict, times: np.n
             np.multiply(np.exp(1j * config.pulses[1].kick * lam)[..., None], x_vt_w, out=buf)
             z = _rotate(v, buf)  # held until the next is made: freed at once, its pages refault
             parts.append(_spectrum_part(group, z, 2))
-    s1 = _spectra(layout, first, 1)[0] if fresh else entry[1]
-    window, pieces = (t_a, t_b, times.tobytes()), entry[3]
-    if pieces is None or pieces[0] != window:
-        lo_b = int(np.searchsorted(times, t_b, side="left"))
-        phases = np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2]))
-        pieces = (window, lo_b, phases, _piecewise(times[lo_b:], [(t_a, s1)]))
+    if fresh:
+        s1, lo_b = _spectra(layout, first, 1)[0], int(np.searchsorted(times, t_b, side="left"))
+        entry = (key, xs, lo_b, np.exp(1j * np.outer(times[lo_b:] - t_b, s1[2])),
+                 _piecewise(times[lo_b:], [(t_a, s1)]))
     if keep:
-        cache["first"] = ((k1, dtau), s1, xs, pieces)
-    values, (_, lo_b, phases, only_1) = [], pieces
+        cache["first"] = entry
+    values, (*_, lo_b, phases, only_1) = [], entry
     for parts in shares:
         try:
             two, second = (dc + 2.0 * (phases @ amp).real - 1.0 / 3.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import __version__
@@ -41,6 +41,7 @@ CURVE_COLUMNS = (
     "averaged",
 )
 OPT_COLUMNS = ("dtau_ps", "p2_opt", "s_echo_max")
+ENGINE = f"rotecho {__version__}"
 
 
 def fmt(value: float) -> str:
@@ -55,7 +56,7 @@ def config_digest(path: str) -> str:
 
 
 def provenance_lines(meta: dict) -> list[str]:
-    lines = [f"rotecho {__version__}"]
+    lines = [ENGINE]
     for key in ("config_sha256", "command"):
         if meta.get(key) is not None:
             lines.append(f"{key}: {meta[key]}")
@@ -143,7 +144,7 @@ def _write_json(path, payload: dict) -> None:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """A run manifest as ``load`` reads it back.
+    """What produced a run's data files, written and read back field by field.
 
     The data files a run writes are byte-deterministic for a given
     config and engine version; the manifest records wall-clock timings
@@ -166,45 +167,25 @@ class RunManifest:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read manifest {path!r}: {exc}") from None
+        data.setdefault("notes", [])  # written only when there are any
         try:
-            return cls(
-                command=data["command"],
-                parameters=data["parameters"],
-                config_sha256=data["config_sha256"],
-                molecule=data["molecule"],
-                outputs=tuple(data["outputs"]),
-                timings_s=data["timings_s"],
-                notes=tuple(data.get("notes", ())),
-                engine=data["engine"],
-            )
+            values = [data[field.name] for field in fields(cls)]
         except KeyError as exc:
             raise ConfigError(f"manifest {path} lacks field {exc}") from None
+        return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
-def write_manifest(
-    path,
-    *,
-    command: str,
-    parameters: dict,
-    config_sha256: str | None,
-    molecule: str,
-    outputs: list[str],
-    timings: dict,
-    notes: list[str] | None = None,
-) -> None:
-    """What produced a set of outputs, written alongside them as JSON."""
+def write_manifest(path, manifest: RunManifest) -> None:
+    """``manifest`` as JSON, outputs sorted, floats rounded, notes only if any."""
     payload = {
-        "engine": f"rotecho {__version__}",
-        "command": command,
-        "parameters": {k: _rounded(v) for k, v in parameters.items()},
-        "config_sha256": config_sha256,
-        "molecule": molecule,
-        "outputs": sorted(outputs),
-        "timings_s": {k: _rounded(v) for k, v in timings.items()},
+        **vars(manifest),
+        "outputs": sorted(manifest.outputs),
+        "parameters": {k: _rounded(v) for k, v in manifest.parameters.items()},
+        "timings_s": {k: _rounded(v) for k, v in manifest.timings_s.items()},
         "timings_note": "wall-clock; outside the byte-determinism contract",
     }
-    if notes:
-        payload["notes"] = list(notes)
+    if not manifest.notes:
+        del payload["notes"]
     _write_json(path, payload)
 
 

@@ -535,16 +535,16 @@ def test_fmt_uses_twelve_significant_digits():
 
 def test_manifest_roundtrip_and_errors(tmp_path):
     path = tmp_path / "manifest.json"
-    runio.write_manifest(
-        path,
+    runio.write_manifest(path, RunManifest(
         command="rotecho simulate --config run.cfg",
         parameters={"p1_kick": 0.5, "j_max": 24, "unset": math.nan},
         config_sha256="ab" * 32,
         molecule="OCS-cold",
-        outputs=["trace.csv"],
-        timings={"run": 0.25},
-        notes=["one note"],
-    )
+        outputs=("trace.csv",),
+        timings_s={"run": 0.25},
+        notes=("one note",),
+        engine=runio.ENGINE,
+    ))
     loaded = RunManifest.load(path)
     assert loaded.command == "rotecho simulate --config run.cfg"
     assert loaded.parameters["j_max"] == 24
@@ -563,6 +563,27 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     partial.write_text(json.dumps({"command": "x"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="lacks field"):
         RunManifest.load(partial)
+
+
+def test_a_manifest_holds_exactly_the_record_finish_filled(tmp_path, monkeypatch):
+    # a scan whose sin2 fit fails writes notes, so the file has every field:
+    # its keys are the record's field names, and load gives back each value
+    # _finish filled, outputs sorted and floats rounded as written
+    filled, write = [], runio.write_manifest
+    monkeypatch.setattr(runio, "write_manifest", lambda path, made: filled.append(made) or write(path, made))
+    cfg = write_cfg(tmp_path, COLD_SCAN_P2.replace("stop = 1.5\n    count = 6", "stop = 14\n    count = 8"))
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", cfg, "--out-dir", str(out)]) == 0
+    (made,) = filled
+    assert made.notes
+    names = [field.name for field in dataclasses.fields(RunManifest)]
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8")).keys() == {*names, "timings_note"}
+    loaded = RunManifest.load(out / "manifest.json")
+    for name in names:
+        want = getattr(made, name)
+        if isinstance(want, dict):
+            want = {k: runio._rounded(v) for k, v in want.items()}
+        assert getattr(loaded, name) == (tuple(sorted(want)) if name == "outputs" else want), name
 
 
 def test_read_decay_table_errors(tmp_path):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -346,9 +348,32 @@ def test_a_failure_in_every_worker_reaches_the_caller(monkeypatch, error, raised
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_killed_mid_write_is_named(monkeypatch):
+    # a worker killed after half its pickle leaves truncated bytes in its
+    # pipe; the parent reaps every worker and names the first by its wait
+    # status rather than unpickling what it sent
+    def killed(jobs, basis, workers, sink, inherited):
+        try:
+            for pipe in inherited:
+                pipe.close()
+            data = pickle.dumps([list(range(1000))])
+            sink.write(data[: len(data) // 2])
+            sink.flush()
+        finally:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(echo, "_forked_child", killed)
+    dtau = 0.125 * TREV
+    base = two_pulse_config(COLD, 0.5, 1.0, dtau, j_max=24)
+    with pytest.raises(RuntimeError, match=r"^scan worker 0 ended without a result \(status=9\)$"):
+        averaged_scan_p2([0.4, 0.8, 1.2], 0.5, dtau, BeamGeometry(30.0, 15.0, 2), base, workers=2)
+    with pytest.raises(ChildProcessError):  # no worker left
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _check_scans_keep_molecules_apart(scan):
     # OCS at 30 K and at 296 K differ only in the molecule, which the
-    # kernel's (k1, dtau) first-pulse entry omits; a cache that outlived one
+    # kernel's first-pulse entry key omits; a cache that outlived one
     # scan's pool (or one serial scan) would hand the second scan the first
     # one's trace
     grid = np.linspace(0.3, 2.1, 4)

@@ -254,14 +254,11 @@ def test_pathway_replays_its_steps():
         RamanStep(pulse=2, side="bra", delta_j=2),
         RamanStep(pulse=2, side="ket", delta_j=2),
     )
-    path = Pathway(start=2, steps=steps, intermediate=(4, 2), final=(6, 4))
+    path = Pathway(start=2, steps=steps)
     assert path.label() == "P1 ket+2; P2 bra+2; P2 ket+2"
-    with pytest.raises(ValueError, match="intermediate"):
-        Pathway(start=2, steps=steps, intermediate=(2, 4), final=(6, 4))
-    with pytest.raises(ValueError, match="final"):
-        Pathway(start=2, steps=steps, intermediate=(4, 2), final=(4, 6))
+    assert (path.intermediate, path.final) == ((4, 2), (6, 4))
     with pytest.raises(ValueError, match="budget"):
-        Pathway(start=2, steps=steps[::-1], intermediate=(4, 2), final=(6, 4))
+        Pathway(start=2, steps=steps[::-1])
 
 
 def test_pathway_rejects_negative_levels():
@@ -271,7 +268,7 @@ def test_pathway_rejects_negative_levels():
         RamanStep(pulse=2, side="bra", delta_j=2),
     )
     with pytest.raises(ValueError, match="negative J"):
-        Pathway(start=0, steps=steps, intermediate=(-2, 0), final=(0, 2))
+        Pathway(start=0, steps=steps)
 
 
 def test_enumeration_input_validation():
@@ -288,8 +285,7 @@ def test_enumeration_input_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: Pathway(-2, (RamanStep(1, "ket", 2), RamanStep(2, "ket", 2), RamanStep(2, "bra", 2)),
-                         (0, -2), (4, 0)),
+        (lambda: Pathway(-2, (RamanStep(1, "ket", 2), RamanStep(2, "ket", 2), RamanStep(2, "bra", 2))),
          "start population must have J >= 0"),
         (lambda: enumerate_pathways((4, -2), (6, 4)), "start populations must have J >= 0"),
     ],
