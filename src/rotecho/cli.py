@@ -44,7 +44,7 @@ from .errors import (
     WindowError,
 )
 from .focal import averaged_scan_p2
-from .pathways import enumerate_pathways, pathway_table, predict_constructive_delays
+from .pathways import _pathway_rows, enumerate_pathways, pathway_table, predict_constructive_delays
 from .propagate import run_two_pulse
 
 
@@ -288,10 +288,9 @@ def _cmd_pathways(args: argparse.Namespace) -> int:
 
     params = _parameters(settings, j_max, dtau, start=args.start,
                          target=args.target, n_pathways=len(paths))
-    table = pathway_table(paths, dtau, molecule, fmt="csv")
     _finish(args, timings, digest, molecule, params,
-            {"pathways.csv": (runio.write_pathways_csv, table)})
-    print(pathway_table(paths, dtau, molecule, fmt="text"))
+            {"pathways.csv": (runio.write_pathways_csv, _pathway_rows(paths, dtau, molecule))})
+    print(pathway_table(paths, dtau, molecule))
     delays = predict_constructive_delays(molecule, 3)
     print(
         f"{len(paths)} sequences at dtau = {dtau:.4f} ps; "

@@ -36,6 +36,9 @@ from .basis import (
     rotational_energy,
 )
 
+# The columns of a pathway table and of pathways.csv.
+PATHWAY_COLUMNS = ("start", "steps", "intermediate", "target", "phase_rad")
+
 _SIDES = ("ket", "bra")
 _PULSES = (1, 2)
 _DELTAS = (2, -2)
@@ -238,45 +241,18 @@ def pathway_weight(path: Pathway, molecule: MoleculeSpec, m: int = 0) -> float:
     return weight
 
 
-def pathway_table(
-    pathways,
-    dtau: float,
-    molecule: MoleculeSpec,
-    fmt: str = "text",
-) -> str:
-    """Render sequences with their intermediate phases at ``dtau``.
+def _pathway_rows(pathways, dtau: float, molecule: MoleculeSpec) -> list[tuple[str, ...]]:
+    """One row of PATHWAY_COLUMNS text fields per sequence, its phase at ``dtau``."""
+    pair = "({}, {})".format
+    return [(str(p.start), p.label(), pair(*p.intermediate), pair(*p.final),
+             f"{coherence_phase(p.intermediate, dtau, molecule):+.6f}") for p in pathways]
 
-    ``fmt`` is "text" for an aligned table or "csv" for a header plus
-    one comma-separated row per sequence.
-    """
-    rows = []
-    for p in pathways:
-        phase = coherence_phase(p.intermediate, dtau, molecule)
-        rows.append(
-            (
-                str(p.start),
-                p.label(),
-                f"({p.intermediate[0]}, {p.intermediate[1]})",
-                f"({p.final[0]}, {p.final[1]})",
-                f"{phase:+.6f}",
-            )
-        )
-    header = ("start", "steps", "intermediate", "target", "phase_rad")
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(field.replace(",", ";") for field in row))
-        return "\n".join(lines) + "\n"
-    if fmt != "text":
-        raise ValueError("fmt must be 'text' or 'csv'")
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(f.ljust(w) for f, w in zip(row, widths)))
+
+def pathway_table(pathways, dtau: float, molecule: MoleculeSpec) -> str:
+    """Sequences with their intermediate phases at ``dtau``, as an aligned
+    text table; ``runio.write_pathways_csv`` writes the same rows as CSV."""
+    rows = _pathway_rows(pathways, dtau, molecule)
+    widths = [max(map(len, column)) for column in zip(PATHWAY_COLUMNS, *rows)]
+    lines = ["  ".join(map(str.ljust, row, widths)) for row in (PATHWAY_COLUMNS, *rows)]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"

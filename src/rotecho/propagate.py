@@ -10,9 +10,11 @@ unconditionally unitary and the splitting error falls as the sixth power
 of the step.  Neither part mixes J parity, so a pulse carries columns Z
 of each (m, J-parity) half in the J basis through the chain: a flight is
 an elementwise phase and a kick two real products, batched over a group
-of halves of one shape.  apply_pulse carries identity columns, which
-gives each half's propagator U, and sandwiches each block with it.  The
-impulsive limit applies U = exp(i*kick*cos^2 theta) in one step.
+of halves of one shape; an impulsive pulse is one stage of it, the whole
+kick between two flights of zero length.  apply_pulse carries identity
+columns, which gives each half's propagator U, and sandwiches each block
+with it; impulsive_kick, U = exp(i*kick*cos^2 theta), is the dense
+reference of the impulsive limit.
 
 A sequence with a gaussian pulse runs on the thermal columns W = sqrt(p)
 (mu = 1), one group of halves at a time from first pulse to last, with no
@@ -325,7 +327,12 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
     stage), so the integrated kick equals pulse.kick on any mesh; taus
     holds the len(alphas) + 1 free flights around the kicks,
     [s_0/2, (s_0 + s_1)/2, .., s_last/2] for stage lengths s.  Both are
-    empty for a segment too short to step."""
+    empty for a segment too short to step.  An impulsive pulse is one
+    segment of one stage, the whole kick between two flights of zero
+    length; its window holds no sample."""
+    if pulse.shape == "impulsive":
+        yield np.array([pulse.kick]), np.zeros(2), False
+        return
     w_start, w_end = _pulse_window(pulse)
     span, sigma, sq2 = w_end - w_start, pulse.sigma(), math.sqrt(2.0)
     lo, hi = math.erf(-WINDOW_SIGMAS / sq2), math.erf(WINDOW_SIGMAS / sq2)
@@ -349,8 +356,8 @@ def _pulse_segments(pulse: PulseSpec, solver: SolverOptions, sample_times=()) ->
 
 
 def _pulse_table(pulse: PulseSpec, solver: SolverOptions, omegas, sample_times) -> tuple:
-    """A gaussian pulse's (segments, stage kicks, flight phases
-    exp(-i*w_J*tau) over the levels J), built once for every group."""
+    """A pulse's (segments, stage kicks, flight phases exp(-i*w_J*tau)
+    over the levels J), built once for every group."""
     segments = list(_pulse_segments(pulse, solver, sample_times))
     alphas, taus = (np.concatenate([seg[i] for seg in segments]) for i in (0, 1))
     return segments, alphas, np.exp(-1j * np.multiply.outer(taus, omegas))
@@ -391,17 +398,21 @@ def _columns(group: tuple) -> np.ndarray:
     return w[:, None, :] * np.eye(v.shape[1], w.shape[1], dtype=complex)
 
 
-def _apply_gaussian_pulse(
-    rho: MBlockDensityMatrix, pulse: PulseSpec, solver: SolverOptions
+def apply_pulse(
+    rho: MBlockDensityMatrix,
+    pulse: PulseSpec,
+    solver: SolverOptions | None = None,
 ) -> MBlockDensityMatrix:
-    """Sixth-order split integration of a state across the pulse window.
+    """The state at the end of one pulse window, either shape.
 
-    _step_pulse carries the identity columns of each (m, J-parity) half,
-    which makes them that half's propagator U across the window; each m
-    block is then sandwiched as U rho U^dagger, as impulsive_kick does."""
+    _step_pulse carries each (m, J-parity) half's identity columns across
+    the pulse (a gaussian window t0 +- 4 sigma on the solver mesh, an
+    impulsive kick as one stage), which makes them the half's propagator
+    U; each m block is then sandwiched as U rho U^dagger.  impulsive_kick
+    is the dense reference of the impulsive shape."""
     basis, halves = rho.basis, itertools.product(range(rho.basis.j_max + 1), (0, 1))
     groups, _ = _column_groups(basis, rho.molecule, np.ones(basis.j_max + 1))
-    table = _pulse_table(pulse, solver, basis.omegas(rho.molecule), ())
+    table = _pulse_table(pulse, solver or SolverOptions(), basis.omegas(rho.molecule), ())
     us = [np.zeros(block.shape, dtype=complex) for block in rho.blocks]
     for group in groups:  # one group's columns alive at a time
         _step_pulse(group, z := _columns(group), table)
@@ -409,24 +420,6 @@ def _apply_gaussian_pulse(
             us[m][h::2, h::2] = u
     blocks = tuple(u @ block @ u.conj().T for u, block in zip(us, rho.blocks))
     return MBlockDensityMatrix(basis=basis, molecule=rho.molecule, blocks=blocks)
-
-
-def apply_pulse(
-    rho: MBlockDensityMatrix,
-    pulse: PulseSpec,
-    solver: SolverOptions | None = None,
-) -> MBlockDensityMatrix:
-    """Propagate the state across one pulse window.
-
-    For the impulsive shape this is a single unitary kick; for the
-    gaussian shape the window t0 +- 4 sigma is integrated on the solver
-    mesh.  Returns the state at the end of the window.
-    """
-    if solver is None:
-        solver = SolverOptions()
-    if pulse.shape == "impulsive":
-        return impulsive_kick(rho, pulse.kick)
-    return _apply_gaussian_pulse(rho, pulse, solver)
 
 
 def _check_drift(trace: float, defect: float = 0.0) -> None:
@@ -450,26 +443,22 @@ def _column_stages(config: ExperimentConfig, basis: RotorBasis, windows: list, t
     """run_pulse_sequence's (stages, in-pulse samples) from the thermal
     columns W = sqrt(p) of each populated (m, J-parity) half, rho = W
     W^dagger.  No group reads another's columns, so each is built at the
-    first pulse, carried to the last (a free flight is a row phase, an
-    impulsive pulse one kick and a gaussian one _step_pulse) and dropped;
+    first pulse, carried to the last (a free flight is a row phase; each
+    pulse, impulsive or gaussian, is _step_pulse on its table) and dropped;
     its shares of each pulse's spectrum and samples are added in order."""
     p = _thermal_populations(config.molecule, basis.j_max, config.solver.truncation_tol)
     groups, layout = _column_groups(basis, config.molecule, np.sqrt(p))
     omegas, bounds = basis.omegas(config.molecule), np.searchsorted(times, windows, side="left")
-    tables = [_pulse_table(pulse, config.solver, omegas, times[lo:hi]) if pulse.shape == "gaussian"
-              else None for pulse, (lo, hi) in zip(config.pulses, bounds)]
+    tables = [_pulse_table(pulse, config.solver, omegas, times[lo:hi])
+              for pulse, (lo, hi) in zip(config.pulses, bounds)]
     acc = [(np.zeros(hi - lo), []) for lo, hi in bounds]  # samples, spectrum parts
     for group in groups:  # one group's columns alive at a time
-        *_, js, _, lam, v = group
+        *_, js, _, _, _ = group
         z, cursor = _columns(group), windows[0][0]
-        for pulse, (start, end), table, (vals, parts) in zip(config.pulses, windows, tables, acc):
+        for (start, end), table, (vals, parts) in zip(windows, tables, acc):
             if start > cursor:
                 z *= np.exp(-1j * (start - cursor) * omegas)[js]
-            if table is None:
-                y = _rotate(v.transpose(0, 2, 1), z) * np.exp(1j * pulse.kick * lam)[..., None]
-                z[...] = _rotate(v, y)
-            else:
-                vals += _step_pulse(group, z, table)
+            vals += _step_pulse(group, z, table)
             parts.append(_spectrum_part(group, z, 1))
             cursor = end
     stages = [(end, _spectra(layout, parts, 1)[0]) for (_, end), (_, parts) in zip(windows, acc)]

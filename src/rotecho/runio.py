@@ -19,6 +19,7 @@ from itertools import chain
 from . import __version__
 from .echo import DecayFit, EchoCurve, Sin2Fit
 from .errors import ConfigError
+from .pathways import PATHWAY_COLUMNS
 from .propagate import AlignmentTrace
 
 try:  # CPython's own sha256: hashlib maps OpenSSL's libcrypto, 3.6 MB resident
@@ -91,9 +92,9 @@ def write_curve_csv(path, curve: EchoCurve, meta: dict, averaged: bool = False) 
     _write_csv(path, meta, CURVE_COLUMNS, rows)
 
 
-def write_pathways_csv(path, table: str, meta: dict) -> None:
-    """The csv rendering of ``pathways.pathway_table``."""
-    _write_data(path, meta, [table])
+def write_pathways_csv(path, rows, meta: dict) -> None:
+    """``pathways._pathway_rows``, each ',' inside a field written as ';'."""
+    _write_csv(path, meta, PATHWAY_COLUMNS, ([f.replace(",", ";") for f in row] for row in rows))
 
 
 def write_opt_csv(path, rows, meta: dict) -> None:
@@ -167,6 +168,8 @@ class RunManifest:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read manifest {path!r}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"manifest {path} holds no JSON object")
         data.setdefault("notes", [])  # written only when there are any
         try:
             values = [data[field.name] for field in fields(cls)]

@@ -563,6 +563,10 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     partial.write_text(json.dumps({"command": "x"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="lacks field"):
         RunManifest.load(partial)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="no JSON object"):
+        RunManifest.load(listed)
 
 
 def test_a_manifest_holds_exactly_the_record_finish_filled(tmp_path, monkeypatch):

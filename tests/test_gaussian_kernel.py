@@ -66,8 +66,8 @@ kicks = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 
 def _dense_pulse(rho, pulse, solver, sample_times=None):
     """The split chain sandwiching each full m block: the state after the
-    pulse, as propagate._apply_gaussian_pulse returns it, and the
-    <cos^2 theta> values at sample_times."""
+    pulse, as propagate.apply_pulse returns it, and the <cos^2 theta>
+    values at sample_times."""
     basis, omegas = rho.basis, rho.basis.omegas(rho.molecule)
     eig = [basis.cos2_eigensystem(m) for m in range(basis.j_max + 1)]
     tilde = [v.T @ block @ v for (_, v), block in zip(eig, rho.blocks)]

@@ -16,6 +16,8 @@ from rotecho import (
     pathway_weight,
     predict_constructive_delays,
 )
+from rotecho.pathways import _pathway_rows
+from rotecho.runio import write_pathways_csv
 
 
 def canonical_pair(j):
@@ -220,21 +222,18 @@ def test_table_text_layout(ocs, trev):
     assert len(lines) == 2 + len(paths)
 
 
-def test_table_csv_layout(ocs, trev):
+def test_table_csv_layout(ocs, trev, tmp_path):
     paths = enumerate_pathways(4, (6, 4))
-    csv = pathway_table(paths, trev / 8.0, ocs, fmt="csv")
-    lines = csv.splitlines()
+    path = tmp_path / "pathways.csv"
+    write_pathways_csv(path, _pathway_rows(paths, trev / 8.0, ocs), {"command": "rotecho pathways"})
+    csv = path.read_text(encoding="utf-8")
+    lines = [line for line in csv.splitlines() if not line.startswith("#")]
     assert lines[0] == "start,steps,intermediate,target,phase_rad"
     assert len(lines) == 1 + len(paths)
     for line in lines[1:]:
         # level pairs are rendered with ';' so the row stays 5 fields
         assert len(line.split(",")) == 5
     assert csv.endswith("\n")
-
-
-def test_table_rejects_unknown_format(ocs):
-    with pytest.raises(ValueError, match="fmt"):
-        pathway_table([], 1.0, ocs, fmt="json")
 
 
 # ---------------------------------------------------------------- validation
